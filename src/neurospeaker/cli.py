@@ -19,7 +19,6 @@ import numpy as np
 
 from . import fileio, kpca, pipeline
 from .config import RunConfig, load_config, registry_help
-from .core import derive_rng, split_dataset
 from .errors import (
     ConfigError,
     DimensionError,
@@ -161,7 +160,7 @@ def cmd_preprocess(args) -> int:
     config = _load_run_config(args)
     utterances, manifest, _ = _load_corpus(args.in_dir)
     cleaned, report_rows = pipeline.preprocess_eeg(
-        utterances, config.dsp_config(), config.ica_config(), config.seed, config.parallel
+        utterances, config.dsp_config(), config.ica_config(), config.seed
     )
     out = _ensure_dir(args.out)
     _ensure_dir(out / "eeg")
@@ -207,9 +206,7 @@ def _read_features_index(path: Path) -> list[dict[str, str]]:
 def cmd_features(args) -> int:
     config = _load_run_config(args)
     utterances, manifest, _ = _load_corpus(args.in_dir)
-    features = pipeline.extract_features(
-        utterances, config.dsp_config(), config.mfcc_config(), config.parallel
-    )
+    features = pipeline.extract_features(utterances, config.dsp_config(), config.mfcc_config())
     out = _ensure_dir(args.out)
     _ensure_dir(out / "mfcc13")
     _ensure_dir(out / "eeg155")
@@ -236,6 +233,7 @@ def cmd_features(args) -> int:
 
 
 def _load_feature_streams(features_dir: Path, rows, want_eeg30: bool):
+    """Feature streams and dense speaker ids, both keyed by utterance id."""
     streams: dict[str, dict[str, FeatureSequence]] = {}
     for row in rows:
         utt_id = row["utterance_id"]
@@ -250,32 +248,18 @@ def _load_feature_streams(features_dir: Path, rows, want_eeg30: bool):
                 )
             entry["eeg30"] = fileio.read_fseq(features_dir / row["eeg30_path"], utt_id)
         streams[utt_id] = entry
-    return streams
-
-
-def _speaker_ids(rows) -> dict[str, int]:
-    index: dict[str, int] = {}
-    ids = {}
-    for row in rows:
-        label = row["speaker_label"]
-        if label not in index:
-            index[label] = len(index)
-        ids[row["utterance_id"]] = index[label]
-    return ids
+    index = fileio.speaker_index(rows)
+    speakers = {row["utterance_id"]: index[row["speaker_label"]] for row in rows}
+    return streams, speakers
 
 
 def cmd_kpca(args) -> int:
     config = _load_run_config(args)
     rows = _read_features_index(args.features / FEATURES_INDEX)
     out = _ensure_dir(args.out or args.features)
-    streams = _load_feature_streams(args.features, rows, want_eeg30=False)
-    speakers = _speaker_ids(rows)
-    ids = sorted(streams)
-    probe = split_dataset(
-        [(streams[i]["eeg155"], speakers[i]) for i in ids],
-        rng=derive_rng(config.seed, "split"),
-    )
-    train_ids = [ids[i] for i in probe.indices("train")]
+    streams, speakers = _load_feature_streams(args.features, rows, want_eeg30=False)
+    partition = pipeline.split_utterances(streams, speakers, config.seed)
+    train_ids = [i for i, tag in partition.items() if tag == "train"]
     model = pipeline.reduce_eeg(streams, train_ids, config.kpca_config(), config.seed)
     _ensure_dir(out / "eeg30")
     for row in rows:
@@ -297,8 +281,7 @@ def cmd_kpca(args) -> int:
 def _assemble_from_dir(features_dir: Path, config: RunConfig, modality: Modality):
     rows = _read_features_index(features_dir / FEATURES_INDEX)
     want_eeg30 = modality in (Modality.EEG30, Modality.FUSED43)
-    streams = _load_feature_streams(features_dir, rows, want_eeg30)
-    speakers = _speaker_ids(rows)
+    streams, speakers = _load_feature_streams(features_dir, rows, want_eeg30)
     return pipeline.assemble_dataset(streams, speakers, modality, config.seed)
 
 
@@ -375,7 +358,7 @@ def cmd_experiment(args) -> int:
         dsp_config=config.dsp_config(),
         ica_config=config.ica_config(),
         kpca_config=config.kpca_config(),
-        parallel=config.parallel,
+        mfcc_config=config.mfcc_config(),
     )
     for modality, train_result in result.results.items():
         tag = modality.name.lower()

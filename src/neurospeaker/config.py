@@ -1,13 +1,14 @@
 """Flat key=value run configuration with section prefixes.
 
 Every tunable in the package appears in the registry below together with its
-default and provenance: ``published`` marks values fixed by the reported setup,
+provenance and the stage dataclass field it sets, whose default is the key's
+default: ``published`` marks values fixed by the reported setup,
 ``decision`` marks values this implementation had to choose. Unknown keys are
 rejected; command-line ``--set`` overrides file values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -44,67 +45,79 @@ def _parse_epochs(text: str):
 
 @dataclass(frozen=True)
 class ConfigKey:
+    """One flat key and the stage dataclass field it sets; the field's own
+    default is the key's default."""
+
     name: str
     parse: callable
-    default: object
     provenance: str  # "published" or "decision"
     help: str
+    owner: type
+    field: str
+    none_as: object = None  # flat value that stands for a None field value
+
+    @property
+    def default(self):
+        value = next(f.default for f in fields(self.owner) if f.name == self.field)
+        return self.none_as if value is None else value
+
+    def field_value(self, value):
+        return None if value == self.none_as else value
 
 
 REGISTRY: tuple[ConfigKey, ...] = (
-    ConfigKey("seed", int, 0, "decision", "root seed; every stage derives from it"),
+    ConfigKey("seed", int, "decision", "root seed; every stage derives from it", SynthSpec, "seed"),
     # synthetic corpus
-    ConfigKey("synth.n_speakers", int, 4, "published", "speakers in the corpus (datasets had 4 and 8)"),
-    ConfigKey("synth.utterances_per_speaker", int, 50, "decision", "utterances generated per speaker"),
-    ConfigKey("synth.duration_s", float, 2.0, "decision", "utterance duration in seconds"),
-    ConfigKey("synth.separability", float, 1.0, "decision", "speaker signature distance; 0 = chance-level corpus"),
-    ConfigKey("synth.noise_db", float, -40.0, "decision", "audio noise level relative to speech (dB)"),
+    ConfigKey("synth.n_speakers", int, "published", "speakers in the corpus (datasets had 4 and 8)", SynthSpec, "n_speakers"),
+    ConfigKey("synth.utterances_per_speaker", int, "decision", "utterances generated per speaker", SynthSpec, "utterances_per_speaker"),
+    ConfigKey("synth.duration_s", float, "decision", "utterance duration in seconds", SynthSpec, "duration_s"),
+    ConfigKey("synth.separability", float, "decision", "speaker signature distance; 0 = chance-level corpus", SynthSpec, "separability"),
+    ConfigKey("synth.noise_db", float, "decision", "audio noise level relative to speech (dB)", SynthSpec, "noise_db"),
     # dsp
-    ConfigKey("dsp.bandpass_order", int, 4, "published", "IIR band-pass order"),
-    ConfigKey("dsp.bandpass_low_hz", float, 0.1, "published", "band-pass low cutoff"),
-    ConfigKey("dsp.bandpass_high_hz", float, 70.0, "published", "band-pass high cutoff"),
-    ConfigKey("dsp.notch_hz", float, 60.0, "published", "power-line notch center"),
-    ConfigKey("dsp.notch_q", float, 30.0, "decision", "notch quality factor"),
-    ConfigKey("dsp.frame_length", int, 100, "decision", "EEG feature window (samples at 1 kHz)"),
-    ConfigKey("dsp.hop_length", int, 10, "published", "EEG feature hop; realizes the 100 Hz feature rate"),
+    ConfigKey("dsp.bandpass_order", int, "published", "IIR band-pass order", DspConfig, "bandpass_order"),
+    ConfigKey("dsp.bandpass_low_hz", float, "published", "band-pass low cutoff", DspConfig, "bandpass_low_hz"),
+    ConfigKey("dsp.bandpass_high_hz", float, "published", "band-pass high cutoff", DspConfig, "bandpass_high_hz"),
+    ConfigKey("dsp.notch_hz", float, "published", "power-line notch center", DspConfig, "notch_hz"),
+    ConfigKey("dsp.notch_q", float, "decision", "notch quality factor", DspConfig, "notch_q"),
+    ConfigKey("dsp.frame_length", int, "decision", "EEG feature window (samples at 1 kHz)", DspConfig, "frame_length"),
+    ConfigKey("dsp.hop_length", int, "published", "EEG feature hop; realizes the 100 Hz feature rate", DspConfig, "hop_length"),
     # ica
-    ConfigKey("ica.max_iter", int, 200, "decision", "FastICA iteration cap"),
-    ConfigKey("ica.tol", float, 1e-5, "decision", "FastICA convergence tolerance"),
-    ConfigKey("ica.kurtosis_threshold", float, 15.0, "decision", "reject |excess kurtosis| above this"),
-    ConfigKey("ica.lowfreq_ratio_threshold", float, 0.7, "decision", "reject low-frequency power ratio above this"),
-    ConfigKey("ica.lowfreq_cutoff_hz", float, 3.0, "decision", "low-frequency band edge for the ratio"),
-    ConfigKey("ica.max_amplitude_z_threshold", float, 8.0, "decision", "reject max-amplitude z-score above this"),
+    ConfigKey("ica.max_iter", int, "decision", "FastICA iteration cap", IcaConfig, "max_iter"),
+    ConfigKey("ica.tol", float, "decision", "FastICA convergence tolerance", IcaConfig, "tol"),
+    ConfigKey("ica.kurtosis_threshold", float, "decision", "reject |excess kurtosis| above this", ArtifactThresholds, "kurtosis"),
+    ConfigKey("ica.lowfreq_ratio_threshold", float, "decision", "reject low-frequency power ratio above this", ArtifactThresholds, "lowfreq_ratio"),
+    ConfigKey("ica.lowfreq_cutoff_hz", float, "decision", "low-frequency band edge for the ratio", ArtifactThresholds, "lowfreq_cutoff_hz"),
+    ConfigKey("ica.max_amplitude_z_threshold", float, "decision", "reject max-amplitude z-score above this", ArtifactThresholds, "max_amplitude_z"),
     # features
-    ConfigKey("features.normalize", _parse_bool, True, "decision", "z-score features with training statistics"),
-    ConfigKey("features.mfcc_window_ms", float, 25.0, "decision", "MFCC analysis window"),
-    ConfigKey("features.mfcc_fft_size", int, 512, "decision", "MFCC FFT size"),
-    ConfigKey("features.mfcc_filters", int, 26, "decision", "mel filter count"),
-    ConfigKey("features.mfcc_preemphasis", float, 0.97, "decision", "pre-emphasis coefficient"),
+    ConfigKey("features.normalize", _parse_bool, "decision", "z-score features with training statistics", TrainConfig, "normalize"),
+    ConfigKey("features.mfcc_window_ms", float, "decision", "MFCC analysis window", MfccConfig, "window_ms"),
+    ConfigKey("features.mfcc_fft_size", int, "decision", "MFCC FFT size", MfccConfig, "fft_size"),
+    ConfigKey("features.mfcc_filters", int, "decision", "mel filter count", MfccConfig, "n_filters"),
+    ConfigKey("features.mfcc_preemphasis", float, "decision", "pre-emphasis coefficient", MfccConfig, "preemphasis"),
     # kpca
-    ConfigKey("kpca.kernel", str, "poly", "decision", "kernel kind: linear, poly, or rbf"),
-    ConfigKey("kpca.degree", int, 3, "decision", "polynomial kernel degree"),
-    ConfigKey("kpca.coef0", float, 1.0, "decision", "polynomial kernel offset"),
-    ConfigKey("kpca.gamma", float, 0.0, "decision", "rbf width; 0 means 1/dim"),
-    ConfigKey("kpca.n_components", int, 30, "published", "reduced EEG feature dimension"),
-    ConfigKey("kpca.max_fit_frames", int, 2000, "decision", "training frames used to fit the kernel matrix"),
+    ConfigKey("kpca.kernel", str, "decision", "kernel kind: linear, poly, or rbf", KernelSpec, "kind"),
+    ConfigKey("kpca.degree", int, "decision", "polynomial kernel degree", KernelSpec, "degree"),
+    ConfigKey("kpca.coef0", float, "decision", "polynomial kernel offset", KernelSpec, "coef0"),
+    ConfigKey("kpca.gamma", float, "decision", "rbf width; 0 means 1/dim", KernelSpec, "gamma", none_as=0.0),
+    ConfigKey("kpca.n_components", int, "published", "reduced EEG feature dimension", KpcaConfig, "n_components"),
+    ConfigKey("kpca.max_fit_frames", int, "decision", "training frames used to fit the kernel matrix", KpcaConfig, "max_fit_frames"),
     # nn / train
-    ConfigKey("nn.tcn_filters", int, 128, "published", "TCN filter count"),
-    ConfigKey("nn.tcn_width", int, 3, "decision", "TCN causal kernel width"),
-    ConfigKey("nn.gru_hidden", int, 128, "published", "GRU hidden units"),
-    ConfigKey("train.epochs", _parse_epochs, None, "published", "epochs; auto = 300 (500 for 8 speakers)"),
-    ConfigKey("train.batch_size", int, 100, "published", "mini-batch size"),
-    ConfigKey("train.validation_fraction", float, 0.1, "published", "validation split knob (used when carving)"),
-    ConfigKey("train.carve_validation_from_train", _parse_bool, False, "decision", "carve validation from train instead of the reserved partition"),
-    ConfigKey("train.modality", _parse_modality, Modality.FUSED43, "decision", "feature stream to train on"),
-    ConfigKey("train.learning_rate", float, 1e-3, "decision", "Adam learning rate (the optimizer's canonical default)"),
-    ConfigKey("train.beta1", float, 0.9, "decision", "Adam beta1"),
-    ConfigKey("train.beta2", float, 0.999, "decision", "Adam beta2"),
-    ConfigKey("train.epsilon", float, 1e-8, "decision", "Adam epsilon"),
-    # pipeline
-    ConfigKey("pipeline.parallel", _parse_bool, False, "decision", "thread per-utterance preprocessing/features"),
+    ConfigKey("nn.tcn_filters", int, "published", "TCN filter count", TrainConfig, "tcn_filters"),
+    ConfigKey("nn.tcn_width", int, "decision", "TCN causal kernel width", TrainConfig, "tcn_width"),
+    ConfigKey("nn.gru_hidden", int, "published", "GRU hidden units", TrainConfig, "gru_hidden"),
+    ConfigKey("train.epochs", _parse_epochs, "published", "epochs; auto = 300 (500 for 8 speakers)", TrainConfig, "epochs"),
+    ConfigKey("train.batch_size", int, "published", "mini-batch size", TrainConfig, "batch_size"),
+    ConfigKey("train.validation_fraction", float, "published", "validation split knob (used when carving)", TrainConfig, "validation_fraction"),
+    ConfigKey("train.carve_validation_from_train", _parse_bool, "decision", "carve validation from train instead of the reserved partition", TrainConfig, "carve_validation_from_train"),
+    ConfigKey("train.modality", _parse_modality, "decision", "feature stream to train on", TrainConfig, "modality"),
+    ConfigKey("train.learning_rate", float, "decision", "Adam learning rate (the optimizer's canonical default)", TrainConfig, "learning_rate"),
+    ConfigKey("train.beta1", float, "decision", "Adam beta1", TrainConfig, "beta1"),
+    ConfigKey("train.beta2", float, "decision", "Adam beta2", TrainConfig, "beta2"),
+    ConfigKey("train.epsilon", float, "decision", "Adam epsilon", TrainConfig, "epsilon"),
 )
 
 _BY_NAME = {key.name: key for key in REGISTRY}
+_BY_FIELD = {(key.owner, key.field): key for key in REGISTRY}
 
 
 @dataclass
@@ -120,86 +133,38 @@ class RunConfig:
     def seed(self) -> int:
         return self.values["seed"]
 
-    def synth_spec(self, **overrides) -> SynthSpec:
-        kwargs = dict(
-            n_speakers=self.values["synth.n_speakers"],
-            utterances_per_speaker=self.values["synth.utterances_per_speaker"],
-            duration_s=self.values["synth.duration_s"],
-            separability=self.values["synth.separability"],
-            noise_db=self.values["synth.noise_db"],
-            seed=self.values["seed"],
-        )
+    def _build(self, cls, **overrides):
+        """Construct ``cls`` from the keys that set its fields. A nested
+        config dataclass is built the same way; fields no key sets keep
+        their defaults."""
+        kwargs = {}
+        for spec in fields(cls):
+            key = _BY_FIELD.get((cls, spec.name))
+            if key is not None:
+                kwargs[spec.name] = key.field_value(self.values[key.name])
+            elif is_dataclass(spec.default_factory):
+                kwargs[spec.name] = self._build(spec.default_factory)
         kwargs.update(overrides)
-        return SynthSpec(**kwargs)
+        return cls(**kwargs)
+
+    def synth_spec(self, **overrides) -> SynthSpec:
+        return self._build(SynthSpec, **overrides)
 
     def dsp_config(self) -> DspConfig:
-        return DspConfig(
-            bandpass_order=self.values["dsp.bandpass_order"],
-            bandpass_low_hz=self.values["dsp.bandpass_low_hz"],
-            bandpass_high_hz=self.values["dsp.bandpass_high_hz"],
-            notch_hz=self.values["dsp.notch_hz"],
-            notch_q=self.values["dsp.notch_q"],
-            frame_length=self.values["dsp.frame_length"],
-            hop_length=self.values["dsp.hop_length"],
-        )
+        return self._build(DspConfig)
 
     def ica_config(self) -> IcaConfig:
-        return IcaConfig(
-            max_iter=self.values["ica.max_iter"],
-            tol=self.values["ica.tol"],
-            thresholds=ArtifactThresholds(
-                kurtosis=self.values["ica.kurtosis_threshold"],
-                lowfreq_ratio=self.values["ica.lowfreq_ratio_threshold"],
-                lowfreq_cutoff_hz=self.values["ica.lowfreq_cutoff_hz"],
-                max_amplitude_z=self.values["ica.max_amplitude_z_threshold"],
-            ),
-        )
+        return self._build(IcaConfig)
 
     def mfcc_config(self) -> MfccConfig:
-        return MfccConfig(
-            window_ms=self.values["features.mfcc_window_ms"],
-            fft_size=self.values["features.mfcc_fft_size"],
-            n_filters=self.values["features.mfcc_filters"],
-            preemphasis=self.values["features.mfcc_preemphasis"],
-        )
+        return self._build(MfccConfig)
 
     def kpca_config(self) -> KpcaConfig:
-        gamma = self.values["kpca.gamma"]
-        kernel = KernelSpec(
-            kind=self.values["kpca.kernel"],
-            degree=self.values["kpca.degree"],
-            coef0=self.values["kpca.coef0"],
-            gamma=None if gamma == 0.0 else gamma,
-        )
-        return KpcaConfig(
-            kernel=kernel,
-            n_components=self.values["kpca.n_components"],
-            max_fit_frames=self.values["kpca.max_fit_frames"],
-        )
+        return self._build(KpcaConfig)
 
     def train_config(self, **overrides) -> TrainConfig:
-        kwargs = dict(
-            epochs=self.values["train.epochs"],
-            batch_size=self.values["train.batch_size"],
-            validation_fraction=self.values["train.validation_fraction"],
-            carve_validation_from_train=self.values["train.carve_validation_from_train"],
-            modality=self.values["train.modality"],
-            seed=self.values["seed"],
-            learning_rate=self.values["train.learning_rate"],
-            beta1=self.values["train.beta1"],
-            beta2=self.values["train.beta2"],
-            epsilon=self.values["train.epsilon"],
-            tcn_filters=self.values["nn.tcn_filters"],
-            tcn_width=self.values["nn.tcn_width"],
-            gru_hidden=self.values["nn.gru_hidden"],
-            normalize=self.values["features.normalize"],
-        )
-        kwargs.update(overrides)
-        return TrainConfig(**kwargs)
-
-    @property
-    def parallel(self) -> bool:
-        return self.values["pipeline.parallel"]
+        # The root seed lives on SynthSpec and seeds training too.
+        return self._build(TrainConfig, **{"seed": self.seed, **overrides})
 
 
 def parse_assignment(line: str) -> tuple[str, str]:

@@ -36,14 +36,6 @@ def derive_rng(seed: int, label: str) -> np.random.Generator:
     return make_rng(derive_seed(seed, label))
 
 
-def require_finite(name: str, array: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(array)):
-        from .errors import NumericError
-
-        raise NumericError(f"{name} contains non-finite values")
-    return array
-
-
 @dataclass
 class SignalRecord:
     """A multichannel time series: raw EEG (channels x time) or mono audio.

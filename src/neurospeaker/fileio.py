@@ -6,6 +6,8 @@ All binary containers are little-endian. Tensor payloads are 32-bit floats.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 import wave
 from pathlib import Path
@@ -187,18 +189,26 @@ def _read_tensors(fh, path) -> dict[str, np.ndarray]:
         if len(head) != 2:
             raise FormatError(f"{path}: truncated tensor name length")
         (name_len,) = struct.unpack("<H", head)
-        name = fh.read(name_len).decode()
+        name_bytes = fh.read(name_len)
+        if len(name_bytes) != name_len:
+            raise FormatError(f"{path}: truncated tensor name")
+        try:
+            name = name_bytes.decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from exc
         rank_bytes = fh.read(1)
         if len(rank_bytes) != 1:
             raise FormatError(f"{path}: truncated tensor rank for {name!r}")
         (rank,) = struct.unpack("<B", rank_bytes)
-        dims = []
-        for _ in range(rank):
-            dims.append(struct.unpack("<I", fh.read(4))[0])
-        count = int(np.prod(dims)) if dims else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
+        dim_bytes = fh.read(4 * rank)
+        if len(dim_bytes) != 4 * rank:
+            raise FormatError(f"{path}: truncated tensor shape for {name!r}")
+        dims = struct.unpack(f"<{rank}I", dim_bytes)
+        size = 4 * math.prod(dims)
+        # Checked before reading: a corrupt shape can claim more than memory holds.
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise FormatError(f"{path}: truncated tensor data for {name!r}")
+        payload = fh.read(size)
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     # unreachable
 

@@ -446,13 +446,6 @@ def adam_step(
     return params
 
 
-def classify(params: ClassifierParams, frames: np.ndarray) -> np.ndarray:
-    """Probabilities for one (T, D) sequence."""
-    frames = np.asarray(frames, dtype=params.tcn.kernels.dtype)
-    probs, _, _ = forward_batch(params, frames[None], np.array([frames.shape[0]]))
-    return probs[0]
-
-
 def pad_batch(sequences: list[np.ndarray], dtype=None) -> tuple[np.ndarray, np.ndarray]:
     """Stack variable-length (T_i, D) arrays into (B, T_max, D) plus lengths."""
     if not sequences:

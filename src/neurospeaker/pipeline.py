@@ -2,14 +2,13 @@
 evaluation, and the three-modality comparison experiment.
 
 Runs are deterministic: every stochastic step draws from a generator derived
-from the root seed and a stage label, and training is single-threaded. The
-optional parallel mode only fans out per-utterance preprocessing and feature
-extraction, whose results are order-independent.
+from the root seed and a stage label, and utterances are processed one after
+another. One seeded split (``split_utterances``) serves the KPCA fit and every
+modality.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,19 +163,11 @@ def _check_split_isolation(dataset: LabeledDataset) -> None:
         seen[seq.utterance_id] = tag
 
 
-def _map_utterances(worker, utterances, parallel: bool):
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(worker, utterances))
-    return [worker(u) for u in utterances]
-
-
 def preprocess_eeg(
     utterances: list[Utterance],
     config: DspConfig = DspConfig(),
     ica_config: IcaConfig = IcaConfig(),
     seed: int = 0,
-    parallel: bool = False,
 ) -> tuple[list[Utterance], list[tuple]]:
     """Band-pass, notch, and ICA artifact removal per utterance.
 
@@ -190,7 +181,9 @@ def preprocess_eeg(
     )
     notch = dsp.design_notch(config.notch_hz, config.notch_q, rate)
 
-    def worker(utt: Utterance):
+    cleaned: list[Utterance] = []
+    report_rows: list[tuple] = []
+    for utt in utterances:
         filtered = dsp.apply_filter(notch, dsp.apply_filter(bandpass, utt.eeg))
         rng = derive_rng(seed, f"ica.{utt.utterance_id}")
         model = ica.fit_ica(
@@ -198,16 +191,12 @@ def preprocess_eeg(
         )
         comps = ica.sources(model, filtered)
         report = ica.score_and_reject(model, comps, ica_config.thresholds)
-        cleaned = ica.reconstruct_clean(model, comps, report)
-        cleaned_record = SignalRecord(
-            utt.eeg.sample_rate_hz, cleaned.samples, utt.eeg.channel_labels
+        clean = ica.reconstruct_clean(model, comps, report)
+        clean_record = SignalRecord(
+            utt.eeg.sample_rate_hz, clean.samples, utt.eeg.channel_labels
         )
-        rows = [(utt.utterance_id, *row) for row in report.rows()]
-        return replace(utt, eeg=cleaned_record), rows
-
-    results = _map_utterances(worker, utterances, parallel)
-    cleaned = [r[0] for r in results]
-    report_rows = [row for r in results for row in r[1]]
+        cleaned.append(replace(utt, eeg=clean_record))
+        report_rows.extend((utt.utterance_id, *row) for row in report.rows())
     return cleaned, report_rows
 
 
@@ -215,18 +204,16 @@ def extract_features(
     utterances: list[Utterance],
     dsp_config: DspConfig = DspConfig(),
     mfcc_config: MfccConfig = MfccConfig(),
-    parallel: bool = False,
 ) -> dict[str, dict[str, FeatureSequence]]:
     """Per-utterance MFCC13 and EEG155 sequences keyed by utterance id."""
-
-    def worker(utt: Utterance):
+    features = {}
+    for utt in utterances:
         mfcc = extract_mfcc(utt.audio, mfcc_config, utterance_id=utt.utterance_id)
         eeg155 = extract_eeg_features(
             utt.eeg, dsp_config.frame_spec, utterance_id=utt.utterance_id
         )
-        return utt.utterance_id, {"mfcc13": mfcc, "eeg155": eeg155}
-
-    return dict(_map_utterances(worker, utterances, parallel))
+        features[utt.utterance_id] = {"mfcc13": mfcc, "eeg155": eeg155}
+    return features
 
 
 def reduce_eeg(
@@ -272,20 +259,39 @@ def modality_sequence(streams: dict[str, FeatureSequence], modality: Modality) -
     raise InputError(f"unsupported modality {modality}")
 
 
+def split_utterances(
+    features: dict[str, dict[str, FeatureSequence]],
+    speakers: dict[str, int],
+    seed: int = 0,
+) -> dict[str, str]:
+    """The partition tag ("train", "val" or "test") of every utterance id.
+
+    This is the run's one seeded split: the KPCA fit uses its training
+    utterances and every modality's dataset carries it, so no stage can
+    train on another stage's test utterances.
+    """
+    ids = sorted(features)
+    split = split_dataset(
+        [(features[i]["eeg155"], speakers[i]) for i in ids], rng=derive_rng(seed, "split")
+    )
+    return dict(zip(ids, split.partition))
+
+
 def assemble_dataset(
     features: dict[str, dict[str, FeatureSequence]],
     speakers: dict[str, int],
     modality: Modality,
     seed: int = 0,
-    ratios=(0.8, 0.1, 0.1),
 ) -> LabeledDataset:
-    """Build the labelled dataset for one modality with a seeded split."""
-    items = []
-    for utt_id in sorted(features):
-        seq = modality_sequence(features[utt_id], modality)
-        items.append((seq, speakers[utt_id]))
-    rng = derive_rng(seed, "split")
-    dataset = split_dataset(items, ratios, rng)
+    """Build the labelled dataset for one modality on the seeded split."""
+    partition = split_utterances(features, speakers, seed)
+    ids = sorted(features)
+    items = [(modality_sequence(features[i], modality), speakers[i]) for i in ids]
+    dataset = LabeledDataset(
+        items=items,
+        n_speakers=max(label for _, label in items) + 1,
+        partition=tuple(partition[i] for i in ids),
+    )
     _check_split_isolation(dataset)
     return dataset
 
@@ -294,23 +300,26 @@ def batch_count(n_items: int, batch_size: int) -> int:
     return math.ceil(n_items / batch_size)
 
 
-def _accuracy_on(
+def predict(
     params: nn.ClassifierParams,
     items: list[tuple[FeatureSequence, int]],
     batch_size: int,
-) -> float:
-    if not items:
-        return float("nan")
-    correct = 0
+) -> np.ndarray:
+    """Argmax speaker of each item (ties resolve to the lowest class index),
+    forwarded ``batch_size`` items at a time."""
+    preds = [np.zeros(0, dtype=np.int64)]
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
         x, lengths = nn.pad_batch(
             [s.frames for s, _ in chunk], dtype=params.tcn.kernels.dtype
         )
         probs, _, _ = nn.forward_batch(params, x, lengths)
-        preds = np.argmax(probs, axis=1)
-        correct += int(np.sum(preds == np.array([label for _, label in chunk])))
-    return correct / len(items)
+        preds.append(np.argmax(probs, axis=1))
+    return np.concatenate(preds)
+
+
+def _labels(items: list[tuple[FeatureSequence, int]]) -> np.ndarray:
+    return np.array([label for _, label in items], dtype=np.int64)
 
 
 def train(
@@ -369,7 +378,8 @@ def train(
     )
 
     sequences = [np.asarray(s.frames, dtype=np.float32) for s, _ in train_items]
-    labels = np.array([y for _, y in train_items], dtype=np.int64)
+    labels = _labels(train_items)
+    val_labels = _labels(val_items)
     rng_shuffle = derive_rng(config.seed, "train.shuffle")
     epochs = config.resolve_epochs(dataset.n_speakers)
     curves: list[tuple[int, float, float]] = []
@@ -385,7 +395,10 @@ def train(
             grads = nn.backward(cache, params)
             nn.adam_step(params, grads, adam)
         train_acc = correct / len(sequences)
-        val_acc = _accuracy_on(params, val_items, config.batch_size)
+        val_acc = float("nan")
+        if val_items:
+            val_preds = predict(params, val_items, config.batch_size)
+            val_acc = int(np.sum(val_preds == val_labels)) / len(val_items)
         curves.append((epoch, train_acc, val_acc))
     return TrainResult(params=params, curves=curves, stats=stats, adam=adam)
 
@@ -410,15 +423,7 @@ def evaluate(
             f"checkpoint has {params.n_speakers} speakers, dataset has {n}"
         )
     confusion = np.zeros((n, n), dtype=np.int64)
-    for start in range(0, len(test_items), batch_size):
-        chunk = test_items[start : start + batch_size]
-        x, lengths = nn.pad_batch(
-            [s.frames for s, _ in chunk], dtype=params.tcn.kernels.dtype
-        )
-        probs, _, _ = nn.forward_batch(params, x, lengths)
-        preds = np.argmax(probs, axis=1)
-        for (_, truth), pred in zip(chunk, preds):
-            confusion[truth, pred] += 1
+    np.add.at(confusion, (_labels(test_items), predict(params, test_items, batch_size)), 1)
     accuracy = float(np.trace(confusion)) / len(test_items)
     return EvalReport(
         test_accuracy=accuracy,
@@ -450,7 +455,7 @@ def run_experiment(
     dsp_config: DspConfig = DspConfig(),
     ica_config: IcaConfig = IcaConfig(),
     kpca_config: KpcaConfig = KpcaConfig(),
-    parallel: bool = False,
+    mfcc_config: MfccConfig = MfccConfig(),
     utterances: list[Utterance] | None = None,
 ) -> ExperimentResult:
     """Train one model per modality on identical splits and seeds.
@@ -462,15 +467,10 @@ def run_experiment(
     if utterances is None:
         utterances = generate_synthetic(spec)
     speakers = {u.utterance_id: u.speaker for u in utterances}
-    cleaned, _ = preprocess_eeg(utterances, dsp_config, ica_config, config.seed, parallel)
-    features = extract_features(cleaned, dsp_config, parallel=parallel)
-
-    # The split must be identical for every modality: derive it once from ids.
-    ids = sorted(features)
-    id_items = [(features[i]["eeg155"], speakers[i]) for i in ids]
-    probe = split_dataset(id_items, rng=derive_rng(config.seed, "split"))
-    train_ids = [ids[i] for i in probe.indices("train")]
-
+    cleaned, _ = preprocess_eeg(utterances, dsp_config, ica_config, config.seed)
+    features = extract_features(cleaned, dsp_config, mfcc_config)
+    partition = split_utterances(features, speakers, config.seed)
+    train_ids = [i for i, tag in partition.items() if tag == "train"]
     kpca_model = reduce_eeg(features, train_ids, kpca_config, config.seed)
 
     reports: dict[Modality, EvalReport] = {}

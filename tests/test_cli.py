@@ -90,6 +90,17 @@ class TestStages:
         assert "test accuracy:" in report
         assert "%" in report
 
+    def test_eval_truncated_checkpoint_exits_2(self, staged, tmp_path):
+        _, _, _, feats = staged
+        params = nn.init_classifier(43, 4, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
+        path = tmp_path / "cut.nspk"
+        fileio.write_checkpoint(path, params)
+        raw = path.read_bytes()
+        # cut inside the first tensor's shape, after its rank byte
+        cut = raw.index(b"tcn.kernels") + len("tcn.kernels") + 3
+        path.write_bytes(raw[:cut])
+        assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
+
     def test_eval_speaker_count_mismatch_exits_3(self, staged, tmp_path):
         _, _, _, feats = staged
         bogus = nn.init_classifier(43, 8, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
@@ -148,3 +159,25 @@ class TestExperimentCommand:
             assert (a / f"curves_{tag}.csv").exists()
         assert main(["experiment", "--out", str(b), *args]) == 0
         assert tree_digest(a) == tree_digest(b)
+
+    def test_mfcc_keys_reach_feature_extraction(self, tmp_path, monkeypatch):
+        from neurospeaker import pipeline
+        from neurospeaker.features import MfccConfig
+
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(utterances, dsp_config=None, mfcc_config=MfccConfig(), **kwargs):
+            seen.append(mfcc_config)
+            raise Stop
+
+        monkeypatch.setattr(pipeline, "extract_features", spy)
+        with pytest.raises(Stop):
+            main([
+                "experiment", "--out", str(tmp_path / "x"), "--seed", "2",
+                "--set", "synth.utterances_per_speaker=2", "--set", "synth.duration_s=0.5",
+                "--set", "features.mfcc_filters=40", "--set", "features.mfcc_preemphasis=0.5",
+            ])
+        assert [(c.n_filters, c.preemphasis) for c in seen] == [(40, 0.5)]

@@ -1,8 +1,11 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from neurospeaker.config import load_config, registry_help
+from neurospeaker.config import REGISTRY, load_config, registry_help
 from neurospeaker.errors import ConfigError
 from neurospeaker.features import Modality
+from neurospeaker.pipeline import TrainConfig
 
 
 def test_defaults_match_published_settings():
@@ -71,8 +74,6 @@ def test_registry_help_lists_provenance():
     assert "dsp.notch_q" in text
     assert "[published]" in text and "[decision]" in text
     # every key documented
-    from neurospeaker.config import REGISTRY
-
     for key in REGISTRY:
         assert key.name in text
 
@@ -91,3 +92,62 @@ def test_subconfig_construction():
     assert tc.batch_size == 100
     spec = config.synth_spec()
     assert spec.n_speakers == 4
+    default = load_config()
+    assert default["kpca.gamma"] == 0.0  # 0 means 1/dim
+    assert default.kpca_config().kernel.gamma is None
+
+
+SUBCONFIGS = ("synth_spec", "dsp_config", "ica_config", "mfcc_config", "kpca_config", "train_config")
+NON_DEFAULT = {
+    "kpca.kernel": "rbf",
+    "kpca.gamma": "0.5",
+    "train.modality": "EEG30",
+    "train.epochs": "7",
+    "dsp.frame_length": "120",
+}
+
+
+def _non_default(key) -> str:
+    if key.name in NON_DEFAULT:
+        return NON_DEFAULT[key.name]
+    if isinstance(key.default, bool):
+        return str(not key.default)
+    if isinstance(key.default, int):
+        return str(key.default + 1)
+    return repr(key.default * 1.5)
+
+
+def _leaf_fields(config) -> dict[tuple[type, str], object]:
+    """(owning dataclass, field name) -> value, descending into nested configs."""
+    out = {}
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if is_dataclass(value):
+            out.update(_leaf_fields(value))
+        else:
+            out[(type(config), spec.name)] = value
+    return out
+
+
+def _built_fields(config) -> dict[tuple[str, type, str], object]:
+    return {
+        (builder, *where): value
+        for builder in SUBCONFIGS
+        for where, value in _leaf_fields(getattr(config, builder)()).items()
+    }
+
+
+@pytest.mark.parametrize("key", REGISTRY, ids=lambda key: key.name)
+def test_each_key_sets_exactly_its_field(key):
+    raw = _non_default(key)
+    config = load_config(overrides=[f"{key.name}={raw}"])
+    assert config[key.name] == key.parse(raw) != key.default
+    before, after = _built_fields(load_config()), _built_fields(config)
+    changed = {where for where in before if before[where] != after[where]}
+    # the root seed also seeds training
+    expected_owners = {key.owner} | ({TrainConfig} if key.name == "seed" else set())
+    assert {(owner, name) for _, owner, name in changed} == {
+        (owner, key.field) for owner in expected_owners
+    }
+    for where in changed:
+        assert after[where] == key.field_value(config[key.name])

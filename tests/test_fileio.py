@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,33 @@ class TestCheckpoint:
         fileio.write_checkpoint(path, self._params())
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(FormatError):
+            fileio.read_checkpoint(path)
+
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        path = tmp_path / "model.nspk"
+        fileio.write_checkpoint(path, self._params())
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                fileio.read_checkpoint(path)
+
+    def test_shape_larger_than_file_rejected(self, tmp_path):
+        path = tmp_path / "model.nspk"
+        path.write_bytes(
+            b"NSPK" + struct.pack("<HIII", 1, 43, 4, 3) + struct.pack("<H", 3) + b"big"
+            + struct.pack("<BII", 2, 0xFFFFFFFF, 0xFFFFFFFF) + bytes(16)
+        )
+        with pytest.raises(FormatError):
+            fileio.read_checkpoint(path)
+
+    def test_undecodable_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.nspk"
+        fileio.write_checkpoint(path, self._params())
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"tcn.kernels")] = 0xFF
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             fileio.read_checkpoint(path)
 

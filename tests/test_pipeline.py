@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from neurospeaker import pipeline
-from neurospeaker.core import derive_rng, split_dataset
 from neurospeaker.errors import DimensionError, InputError
 from neurospeaker.features import FeatureSequence, Modality
 from neurospeaker.synth import SynthSpec, generate_synthetic
@@ -19,12 +18,8 @@ def small_corpus():
     cleaned, report_rows = pipeline.preprocess_eeg(utts, seed=SMALL_SPEC.seed)
     features = pipeline.extract_features(cleaned)
     speakers = {u.utterance_id: u.speaker for u in utts}
-    ids = sorted(features)
-    probe = split_dataset(
-        [(features[i]["eeg155"], speakers[i]) for i in ids],
-        rng=derive_rng(SMALL_SPEC.seed, "split"),
-    )
-    train_ids = [ids[i] for i in probe.indices("train")]
+    partition = pipeline.split_utterances(features, speakers, SMALL_SPEC.seed)
+    train_ids = [i for i, tag in partition.items() if tag == "train"]
     pipeline.reduce_eeg(
         features, train_ids, pipeline.KpcaConfig(max_fit_frames=600), seed=SMALL_SPEC.seed
     )
@@ -42,14 +37,6 @@ class TestPreprocess:
     def test_report_covers_every_component(self, small_corpus):
         utts, _, _, _, rows = small_corpus
         assert len(rows) == len(utts) * 31
-
-    def test_parallel_matches_serial(self):
-        spec = SynthSpec(n_speakers=2, utterances_per_speaker=2, duration_s=0.5, seed=3)
-        utts = generate_synthetic(spec)
-        serial, _ = pipeline.preprocess_eeg(utts, seed=3, parallel=False)
-        threaded, _ = pipeline.preprocess_eeg(utts, seed=3, parallel=True)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.eeg.samples, b.eeg.samples)
 
 
 class TestFeatureStage:
@@ -74,6 +61,15 @@ class TestFeatureStage:
         a = pipeline.assemble_dataset(features, speakers, Modality.MFCC13, seed=7)
         b = pipeline.assemble_dataset(features, speakers, Modality.FUSED43, seed=7)
         assert a.partition == b.partition
+
+    @pytest.mark.parametrize("modality", list(Modality))
+    def test_one_split_serves_kpca_and_every_modality(self, small_corpus, modality):
+        _, _, features, speakers, _ = small_corpus
+        partition = pipeline.split_utterances(features, speakers, seed=7)
+        dataset = pipeline.assemble_dataset(features, speakers, modality, seed=7)
+        for tag in ("train", "val", "test"):
+            ids = [seq.utterance_id for seq, _ in dataset.subset(tag)]
+            assert ids == [i for i, t in partition.items() if t == tag]
 
 
 class TestDimensionContracts:
