@@ -58,9 +58,11 @@ def read_fseq(path: Path | str, utterance_id: str = "") -> FeatureSequence:
             modality = Modality(modality_code)
         except ValueError as exc:
             raise FormatError(f"{path}: unknown modality code {modality_code}") from exc
-        payload = fh.read(4 * t * d)
-        if len(payload) != 4 * t * d:
-            raise FormatError(f"{path}: truncated payload")
+        size = 4 * t * d
+        # Checked before reading: a corrupt T x D can claim more than memory holds.
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise FormatError(f"{path}: truncated payload ({t} x {d} frames claimed)")
+        payload = fh.read(size)
         frames = np.frombuffer(payload, dtype="<f4").reshape(t, d)
     return FeatureSequence(frames, rate_hz, modality, utterance_id)
 

@@ -1,4 +1,6 @@
 import hashlib
+import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,16 @@ class TestStages:
         cut = raw.index(b"tcn.kernels") + len("tcn.kernels") + 3
         path.write_bytes(raw[:cut])
         assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
+
+    def test_train_on_corrupt_feature_header_exits_2(self, staged, tmp_path):
+        _, _, _, feats = staged
+        broken = tmp_path / "feats"
+        shutil.copytree(feats, broken)
+        victim = sorted((broken / "mfcc13").glob("*.fseq"))[0]
+        victim.write_bytes(victim.read_bytes()[:9] + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF))
+        code = main(["train", "--features", str(broken), "--out", str(tmp_path / "run"),
+                     "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"])
+        assert code == 2
 
     def test_eval_speaker_count_mismatch_exits_3(self, staged, tmp_path):
         _, _, _, feats = staged

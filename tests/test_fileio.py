@@ -47,6 +47,18 @@ class TestFseq:
         with pytest.raises(FormatError):
             fileio.read_fseq(path)
 
+    @pytest.mark.parametrize("t, d", [(5, 13), (0xFFFFFFFF, 0xFFFFFFFF)])
+    def test_header_claiming_more_than_the_file_rejected(self, tmp_path, t, d):
+        """One frame more than the payload holds, and a T x D no memory holds."""
+        seq = FeatureSequence(np.zeros((4, 13), dtype=np.float32), 100, Modality.MFCC13, "u")
+        path = tmp_path / "long.fseq"
+        fileio.write_fseq(path, seq)
+        raw = bytearray(path.read_bytes())
+        raw[9:17] = struct.pack("<II", t, d)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            fileio.read_fseq(path)
+
     def test_csv_export(self, tmp_path):
         seq = FeatureSequence(np.ones((3, 13), dtype=np.float32), 100, Modality.MFCC13, "u")
         path = tmp_path / "d.csv"

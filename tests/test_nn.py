@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from neurospeaker import nn
 from neurospeaker.core import make_rng, one_hot
@@ -125,6 +126,106 @@ class TestGru:
         last, _ = nn.gru_forward_batch(x, params.gru, lengths)
         solo = nn.gru_forward(x[0, :5], params.gru)
         np.testing.assert_allclose(last[0], solo, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[0, 4], [4, 5], [4], [4, 4, 4]])
+    def test_bad_lengths_rejected(self, lengths):
+        params = small_params(10)
+        x = make_rng(11).standard_normal((2, 4, 6))
+        with pytest.raises(InputError):
+            nn.gru_forward_batch(x, params.gru, np.array(lengths))
+
+    def test_forward_batch_rejects_bad_lengths(self):
+        params = small_params(10)
+        x = make_rng(11).standard_normal((2, 4, 5))
+        for lengths in ([0, 4], [4, 5]):
+            with pytest.raises(InputError):
+                nn.forward_batch(params, x, np.array(lengths))
+
+
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    GRID = np.concatenate([
+        [0.0, -0.0, 1e-8, -1e-8, 88.0, -88.0, 1e4, -1e4, np.inf, -np.inf],
+        np.linspace(-120.0, 120.0, 4801),
+        make_rng(30).standard_normal(2000) * 10.0,
+    ])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_two_branch_formula(self, dtype):
+        x = self.GRID.astype(dtype)
+        with np.errstate(over="raise"):
+            got = nn._sigmoid(x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), _two_branch_sigmoid(x).view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_propagates(self, dtype):
+        x = np.array([np.nan, 0.5, -np.nan, -3.0], dtype=dtype).reshape(2, 2)
+        with np.errstate(over="raise"):
+            got = nn._sigmoid(x)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(x))
+
+
+def _reference_gru_last(x, lengths, gru):
+    """Float64, one sequence and one step at a time, from the module
+    docstring's gate equations with scipy's expit as the sigmoid."""
+    f = gru.input_dim
+    w = {g: np.asarray(getattr(gru, f"w_{g}"), dtype=np.float64) for g in ("update", "reset", "cand")}
+    b = {g: np.asarray(getattr(gru, f"b_{g}"), dtype=np.float64) for g in ("update", "reset", "cand")}
+    out = []
+    for seq, n in zip(np.asarray(x, dtype=np.float64), lengths):
+        h = np.zeros(gru.hidden)
+        for x_t in seq[:n]:
+            z = expit(w["update"][:, :f] @ x_t + w["update"][:, f:] @ h + b["update"])
+            r = expit(w["reset"][:, :f] @ x_t + w["reset"][:, f:] @ h + b["reset"])
+            c = np.tanh(w["cand"][:, :f] @ x_t + w["cand"][:, f:] @ (r * h) + b["cand"])
+            h = z * h + (1.0 - z) * c
+        out.append(h)
+    return np.array(out)
+
+
+class TestFloat32Path:
+    """The production dtype against float64: the finite-difference gate only
+    covers float64 at hidden size 8, so these cover width 128 in float32."""
+
+    T = 24
+    LENGTHS = np.array([1, T // 2, T])
+
+    def _instance(self, dtype=np.float32):
+        params = nn.init_classifier(43, 4, make_rng(31), tcn_filters=128, gru_hidden=128, dtype=dtype)
+        x = (2.0 * make_rng(32).standard_normal((3, self.T, 43))).astype(np.float32)
+        return params, x
+
+    def test_gru_forward_matches_float64_reference(self):
+        params, _ = self._instance()
+        x = make_rng(33).standard_normal((3, self.T, 128)).astype(np.float32)
+        last, _ = nn.gru_forward_batch(x, params.gru, self.LENGTHS)
+        assert last.dtype == np.float32
+        # float32 rounding over at most 24 steps of width 128 stays near 2.4e-7
+        np.testing.assert_allclose(last, _reference_gru_last(x, self.LENGTHS, params.gru), rtol=1e-5, atol=2e-6)
+
+    def test_backward_matches_float64(self):
+        params, x = self._instance()
+        params64, _ = self._instance(np.float64)
+        for (_, wide), (_, narrow) in zip(params64.named_arrays(), params.named_arrays()):
+            wide[...] = narrow  # the same float32 values, held in float64
+        labels = np.array([0, 3, 1])
+        probs32, _, cache32 = nn.forward_batch(params, x, self.LENGTHS, labels)
+        probs64, _, cache64 = nn.forward_batch(params64, x.astype(np.float64), self.LENGTHS, labels)
+        np.testing.assert_allclose(probs32, probs64, rtol=1e-5, atol=1e-6)
+        # float32 gradients sit within about 5e-7 of each tensor's largest entry
+        g64 = dict(nn.backward(cache64, params64).named_arrays())
+        for name, g in nn.backward(cache32, params).named_arrays():
+            assert g.dtype == np.float32, name
+            np.testing.assert_allclose(g, g64[name], rtol=1e-4, atol=1e-5 * np.max(np.abs(g64[name])), err_msg=name)
 
 
 class TestDenseSoftmax:
