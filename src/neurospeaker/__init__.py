@@ -7,7 +7,7 @@ space to 30 dimensions, optional fusion to 43 dimensions, and a
 TCN-GRU-dense softmax classifier trained with Adam.
 """
 
-from .core import LabeledDataset, SignalRecord, derive_rng, make_rng, one_hot, split_dataset
+from .core import LabeledDataset, SignalRecord, derive_rng, make_rng, split_dataset
 from .features import FeatureSequence, Modality
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __all__ = [
     "SignalRecord",
     "derive_rng",
     "make_rng",
-    "one_hot",
     "split_dataset",
     "__version__",
 ]

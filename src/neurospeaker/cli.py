@@ -192,13 +192,7 @@ def _write_features_index(path: Path, rows: list[dict[str, str]]) -> None:
 
 def _read_features_index(path: Path) -> list[dict[str, str]]:
     try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != FEATURE_COLUMNS:
-                raise FormatError(
-                    f"{path}: feature index columns {reader.fieldnames} != {list(FEATURE_COLUMNS)}"
-                )
-            return list(reader)
+        return fileio.read_index(path, FEATURE_COLUMNS)
     except OSError as exc:
         raise FormatError(f"cannot read feature index {path}: {exc}") from exc
 
@@ -268,7 +262,6 @@ def cmd_kpca(args) -> int:
         fileio.write_fseq(out / rel, streams[utt_id]["eeg30"])
         row["eeg30_path"] = rel
     _write_features_index(out / FEATURES_INDEX, rows)
-    fileio.write_kpca_model(out / "kpca_model.kpca", model)
     fractions = kpca.cumulative_explained_variance(model)
     fileio.write_explained_variance_csv(out / "explained_variance.csv", fractions)
     print(
@@ -285,6 +278,18 @@ def _assemble_from_dir(features_dir: Path, config: RunConfig, modality: Modality
     return pipeline.assemble_dataset(streams, speakers, modality, config.seed)
 
 
+def _write_trained_model(out: Path, suffix: str, result: pipeline.TrainResult, svg: bool) -> None:
+    """checkpoint<suffix>.nspk with the normalization statistics as norm.*
+    extras, curves<suffix>.csv and, when asked, curves<suffix>.svg."""
+    extras = {}
+    if result.stats is not None:
+        extras = {"norm.mean": result.stats.mean, "norm.std": result.stats.std}
+    fileio.write_checkpoint(out / f"checkpoint{suffix}.nspk", result.params, extras)
+    fileio.write_curves_csv(out / f"curves{suffix}.csv", result.curves)
+    if svg:
+        fileio.render_curves_svg(out / f"curves{suffix}.svg", result.curves)
+
+
 def cmd_train(args) -> int:
     config = _load_run_config(args)
     modality = config["train.modality"]
@@ -292,14 +297,7 @@ def cmd_train(args) -> int:
         modality = Modality[args.modality.strip().upper()]
     dataset = _assemble_from_dir(args.features, config, modality)
     result = pipeline.train(dataset, config.train_config(modality=modality))
-    out = _ensure_dir(args.out)
-    extras = {}
-    if result.stats is not None:
-        extras = {"norm.mean": result.stats.mean, "norm.std": result.stats.std}
-    fileio.write_checkpoint(out / "checkpoint.nspk", result.params, extras, result.adam)
-    fileio.write_curves_csv(out / "curves.csv", result.curves)
-    if args.svg:
-        fileio.render_curves_svg(out / "curves.svg", result.curves)
+    _write_trained_model(_ensure_dir(args.out), "", result, args.svg)
     final = result.curves[-1]
     print(
         f"trained {modality.name} for {final[0]} epochs; "
@@ -361,19 +359,7 @@ def cmd_experiment(args) -> int:
         mfcc_config=config.mfcc_config(),
     )
     for modality, train_result in result.results.items():
-        tag = modality.name.lower()
-        extras = {}
-        if train_result.stats is not None:
-            extras = {
-                "norm.mean": train_result.stats.mean,
-                "norm.std": train_result.stats.std,
-            }
-        fileio.write_checkpoint(
-            out / f"checkpoint_{tag}.nspk", train_result.params, extras, train_result.adam
-        )
-        fileio.write_curves_csv(out / f"curves_{tag}.csv", train_result.curves)
-        if args.svg:
-            fileio.render_curves_svg(out / f"curves_{tag}.svg", train_result.curves)
+        _write_trained_model(out, f"_{modality.name.lower()}", train_result, args.svg)
     fileio.write_explained_variance_csv(
         out / "explained_variance.csv",
         kpca.cumulative_explained_variance(result.kpca_model),

@@ -104,19 +104,6 @@ class LabeledDataset:
     def subset(self, tag: str) -> list[tuple["FeatureSequence", int]]:
         return [self.items[i] for i in self.indices(tag)]
 
-    def counts(self) -> dict[str, int]:
-        return {tag: len(self.indices(tag)) for tag in PARTITIONS}
-
-
-def one_hot(label: int, n_classes: int) -> np.ndarray:
-    """Unit basis vector encoding of a class index."""
-    if not 0 <= label < n_classes:
-        raise InputError(f"label {label} outside 0..{n_classes - 1}")
-    vec = np.zeros(n_classes, dtype=np.float64)
-    vec[label] = 1.0
-    return vec
-
-
 def largest_remainder_counts(total: int, ratios: Sequence[float]) -> list[int]:
     """Integer partition sizes that sum exactly to ``total``.
 

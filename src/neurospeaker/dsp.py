@@ -36,7 +36,6 @@ class BiquadSection:
 @dataclass(frozen=True)
 class BiquadCascade:
     sections: tuple[BiquadSection, ...]
-    design_label: str
 
     def is_stable(self) -> bool:
         return all(s.is_stable() for s in self.sections)
@@ -50,10 +49,6 @@ class BiquadCascade:
         for s in self.sections:
             h *= (s.b0 + s.b1 * z1 + s.b2 * z2) / (1.0 + s.a1 * z1 + s.a2 * z2)
         return h
-
-    def gain_db(self, freqs_hz, sample_rate_hz: float) -> np.ndarray:
-        mag = np.abs(self.response(freqs_hz, sample_rate_hz))
-        return 20.0 * np.log10(np.maximum(mag, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -166,13 +161,13 @@ def design_bandpass(
         a2 = float((p * q).real)
         sections.append(BiquadSection(b0=1.0, b1=0.0, b2=-1.0, a1=a1, a2=a2))
 
-    cascade = BiquadCascade(tuple(sections), design_label=f"butter_bp_{low_hz}_{high_hz}")
+    cascade = BiquadCascade(tuple(sections))
     # Normalize to unit gain at the (digital) center frequency.
     f_center = sample_rate_hz / math.pi * math.atan(w0 / fs2)
     gain = abs(cascade.response([f_center], sample_rate_hz)[0])
     first = cascade.sections[0]
     scaled = BiquadSection(first.b0 / gain, first.b1 / gain, first.b2 / gain, first.a1, first.a2)
-    return BiquadCascade((scaled,) + cascade.sections[1:], cascade.design_label)
+    return BiquadCascade((scaled,) + cascade.sections[1:])
 
 
 def design_notch(
@@ -196,7 +191,7 @@ def design_notch(
         a1=-2.0 * math.cos(w0) / a0,
         a2=(1.0 - alpha) / a0,
     )
-    return BiquadCascade((section,), design_label=f"notch_{center_hz}_q{quality}")
+    return BiquadCascade((section,))
 
 
 def apply_filter_block(cascade: BiquadCascade, block: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ All binary containers are little-endian. Tensor payloads are 32-bit floats.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -17,18 +18,12 @@ import numpy as np
 from .core import SignalRecord, default_channel_labels
 from .errors import DimensionError, FormatError
 from .features import FeatureSequence, Modality
-from .kpca import KernelSpec, KpcaModel
 from .nn import ClassifierParams, DenseParams, GruLayerParams, TcnLayerParams
 
 FSEQ_MAGIC = b"FSEQ"
 EEG_MAGIC = b"EEGR"
 CHECKPOINT_MAGIC = b"NSPK"
-KPCA_MAGIC = b"KPCA"
 FORMAT_VERSION = 1
-
-_KERNEL_CODES = {"linear": 0, "poly": 1, "rbf": 2}
-_KERNEL_NAMES = {v: k for k, v in _KERNEL_CODES.items()}
-
 
 # ---------------------------------------------------------------- FSEQ files
 
@@ -65,15 +60,6 @@ def read_fseq(path: Path | str, utterance_id: str = "") -> FeatureSequence:
         payload = fh.read(size)
         frames = np.frombuffer(payload, dtype="<f4").reshape(t, d)
     return FeatureSequence(frames, rate_hz, modality, utterance_id)
-
-
-def write_fseq_csv(path: Path | str, seq: FeatureSequence) -> None:
-    """Optional CSV export; header row is the dimension indices."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"d{i}" for i in range(seq.dim)])
-        for row in seq.frames:
-            writer.writerow([f"{v:.7g}" for v in row])
 
 
 # ------------------------------------------------------------- raw EEG files
@@ -127,9 +113,12 @@ def read_wav(path: Path | str) -> SignalRecord:
             if fh.getsampwidth() != 2 or fh.getnchannels() != 1:
                 raise FormatError(f"{path}: expected PCM-16 mono")
             rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
-    except wave.Error as exc:
-        raise FormatError(f"{path}: not a WAV file ({exc})") from exc
+            n_frames = fh.getnframes()
+            raw = fh.readframes(n_frames)
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside a header
+        raise FormatError(f"{path}: not a WAV file ({str(exc) or 'ends inside a header'})") from exc
+    if len(raw) != 2 * n_frames:
+        raise FormatError(f"{path}: truncated audio ({n_frames} frames claimed)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return SignalRecord(rate, samples[None, :], ("mono",))
 
@@ -148,15 +137,28 @@ def write_manifest(path: Path | str, rows: list[tuple[str, str, str, str]]) -> N
         writer.writerows(rows)
 
 
+def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """Rows of a CSV index whose header is exactly ``columns``; a row with a
+    missing or an extra field is a format error."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or tuple(reader.fieldnames) != columns:
+        raise FormatError(f"{path}: columns {reader.fieldnames} != {list(columns)}")
+    rows = []
+    for row in reader:
+        # DictReader fills missing fields with None and keys extra ones by None.
+        if None in row or None in row.values():
+            raise FormatError(f"{path}: line {reader.line_num} needs {len(columns)} fields")
+        rows.append(row)
+    return rows
+
+
 def read_manifest(path: Path | str) -> list[dict[str, str]]:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
-            raise FormatError(
-                f"{path}: manifest columns {reader.fieldnames} != {list(MANIFEST_COLUMNS)}"
-            )
-        return list(reader)
+    return read_index(path, MANIFEST_COLUMNS)
 
 
 def speaker_index(rows: list[dict[str, str]]) -> dict[str, int]:
@@ -211,7 +213,10 @@ def _read_tensors(fh, path) -> dict[str, np.ndarray]:
         if size > os.fstat(fh.fileno()).st_size - fh.tell():
             raise FormatError(f"{path}: truncated tensor data for {name!r}")
         payload = fh.read(size)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        except ValueError as exc:  # e.g. an empty tensor claiming more axes than numpy has
+            raise FormatError(f"{path}: unusable shape {dims} for {name!r}") from exc
     # unreachable
 
 
@@ -221,11 +226,9 @@ def write_checkpoint(
     path: Path | str,
     params: ClassifierParams,
     extra_tensors: dict[str, np.ndarray] | None = None,
-    adam: "object | None" = None,
 ) -> None:
     """magic 'NSPK', version u16, config block (input_dim u32, n_speakers u32,
-    tcn_width u32), then named float32 tensors to end of file. Adam state, when
-    given, is appended as 'adam.*' tensors."""
+    tcn_width u32), then named float32 tensors to end of file."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(
@@ -237,20 +240,39 @@ def write_checkpoint(
             _write_tensor(fh, name, arr)
         for name, arr in (extra_tensors or {}).items():
             _write_tensor(fh, name, arr)
-        if adam is not None:
-            _write_tensor(fh, "adam.step", np.array(float(adam.step)))
-            _write_tensor(fh, "adam.lr", np.array(adam.lr))
-            _write_tensor(fh, "adam.beta1", np.array(adam.beta1))
-            _write_tensor(fh, "adam.beta2", np.array(adam.beta2))
-            _write_tensor(fh, "adam.epsilon", np.array(adam.epsilon))
-            for name, arr in adam.m.items():
-                _write_tensor(fh, f"adam.m.{name}", arr)
-            for name, arr in adam.v.items():
-                _write_tensor(fh, f"adam.v.{name}", arr)
+
+
+def _check_parameter_shapes(path, tensors, input_dim: int, n_speakers: int, tcn_width: int):
+    """The header fixes the input width, speaker count and kernel width;
+    tcn.kernels and gru.w_update fix the filter count and hidden width.
+    Every parameter tensor must agree with them."""
+    kernels, w_update = tensors["tcn.kernels"], tensors["gru.w_update"]
+    if kernels.ndim != 3 or w_update.ndim != 2:
+        raise FormatError(f"{path}: tcn.kernels must have rank 3 and gru.w_update rank 2")
+    filters, hidden = kernels.shape[0], w_update.shape[0]
+    if 0 in (input_dim, n_speakers, tcn_width, filters, hidden):
+        raise FormatError(f"{path}: a layer of zero width")
+    gru_weights = (hidden, filters + hidden)
+    expected = {
+        "tcn.kernels": (filters, tcn_width, input_dim),
+        "tcn.biases": (filters,),
+        "gru.w_update": gru_weights,
+        "gru.w_reset": gru_weights,
+        "gru.w_cand": gru_weights,
+        "gru.b_update": (hidden,),
+        "gru.b_reset": (hidden,),
+        "gru.b_cand": (hidden,),
+        "dense.weights": (n_speakers, hidden),
+        "dense.biases": (n_speakers,),
+    }
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise FormatError(f"{path}: {name} has shape {tensors[name].shape}, expected {shape}")
 
 
 def read_checkpoint(path: Path | str):
-    """Returns (params, extra tensors, header dict). Weights come back float32."""
+    """Returns (params, extra tensors, header dict). Weights come back float32.
+    Tensors other than the ten parameters, such as ``norm.*``, are extras."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -271,6 +293,7 @@ def read_checkpoint(path: Path | str):
     missing = [name for name in required if name not in tensors]
     if missing:
         raise FormatError(f"{path}: checkpoint missing tensors {missing}")
+    _check_parameter_shapes(path, tensors, input_dim, n_speakers, tcn_width)
     params = ClassifierParams(
         tcn=TcnLayerParams(tensors["tcn.kernels"].copy(), tensors["tcn.biases"].copy()),
         gru=GruLayerParams(
@@ -280,71 +303,9 @@ def read_checkpoint(path: Path | str):
         ),
         dense=DenseParams(tensors["dense.weights"].copy(), tensors["dense.biases"].copy()),
     )
-    if params.input_dim != input_dim or params.n_speakers != n_speakers:
-        raise FormatError(f"{path}: header dims disagree with tensor shapes")
     extras = {k: v.copy() for k, v in tensors.items() if k not in required}
     header_info = {"input_dim": input_dim, "n_speakers": n_speakers, "tcn_width": tcn_width}
     return params, extras, header_info
-
-
-# ------------------------------------------------------------- KPCA container
-
-def write_kpca_model(path: Path | str, model: KpcaModel) -> None:
-    """magic 'KPCA', version u16, kind u8, degree u32, coef0 f64, gamma f64
-    (NaN when unset), then named float32 tensors."""
-    gamma = float("nan") if model.kernel.gamma is None else model.kernel.gamma
-    with open(path, "wb") as fh:
-        fh.write(KPCA_MAGIC)
-        fh.write(
-            struct.pack(
-                "<HBIdd",
-                FORMAT_VERSION,
-                _KERNEL_CODES[model.kernel.kind],
-                model.kernel.degree,
-                model.kernel.coef0,
-                gamma,
-            )
-        )
-        _write_tensor(fh, "support_vectors", model.support_vectors)
-        _write_tensor(fh, "alphas", model.alphas)
-        _write_tensor(fh, "eigenvalues", model.eigenvalues)
-        _write_tensor(fh, "row_means", model.row_means)
-        _write_tensor(fh, "total_mean", np.array(model.total_mean))
-        _write_tensor(fh, "total_positive_mass", np.array(model.total_positive_mass))
-
-
-def read_kpca_model(path: Path | str) -> KpcaModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != KPCA_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {KPCA_MAGIC!r}")
-        head = fh.read(struct.calcsize("<HBIdd"))
-        if len(head) != struct.calcsize("<HBIdd"):
-            raise FormatError(f"{path}: truncated header")
-        version, kind_code, degree, coef0, gamma = struct.unpack("<HBIdd", head)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if kind_code not in _KERNEL_NAMES:
-            raise FormatError(f"{path}: unknown kernel code {kind_code}")
-        tensors = _read_tensors(fh, path)
-    spec = KernelSpec(
-        kind=_KERNEL_NAMES[kind_code],
-        degree=degree,
-        coef0=coef0,
-        gamma=None if np.isnan(gamma) else gamma,
-    )
-    try:
-        return KpcaModel(
-            support_vectors=tensors["support_vectors"].astype(np.float64),
-            kernel=spec,
-            alphas=tensors["alphas"].astype(np.float64),
-            eigenvalues=tensors["eigenvalues"].astype(np.float64),
-            row_means=tensors["row_means"].astype(np.float64),
-            total_mean=tensors["total_mean"].item(),
-            total_positive_mass=tensors["total_positive_mass"].item(),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: model missing tensor {exc}") from exc
 
 
 # ------------------------------------------------------------ reports & plots

@@ -66,13 +66,6 @@ class ArtifactReport:
             for i in range(self.n_components)
         ]
 
-    def summary(self) -> str:
-        lines = ["component  kurtosis  lowfreq_ratio  max_amp_z  rejected"]
-        for i, kurt, ratio, z, rej in self.rows():
-            lines.append(f"{i:9d}  {kurt:8.3f}  {ratio:13.3f}  {z:9.3f}  {'yes' if rej else 'no'}")
-        return "\n".join(lines)
-
-
 def whiten(eeg: SignalRecord) -> tuple[IcaModel, SignalRecord]:
     """Zero-mean, identity-covariance transform of a multichannel record.
 

@@ -135,14 +135,6 @@ def transform_frames(model: KpcaModel, x: np.ndarray, chunk: int = 4096) -> np.n
     return out
 
 
-def transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
-    """Project a single feature vector; centered kernel row against the support set."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError("transform expects a 1-D vector; use transform_frames for batches")
-    return transform_frames(model, x[None, :])[0]
-
-
 def training_projections(model: KpcaModel) -> np.ndarray:
     """Fitted projections of the support vectors themselves, (n, m)."""
     return transform_frames(model, model.support_vectors)

@@ -148,19 +148,6 @@ def init_classifier(
     return ClassifierParams(tcn=tcn, gru=gru, dense=dense)
 
 
-def zero_grads(params: ClassifierParams) -> ClassifierParams:
-    return ClassifierParams(
-        tcn=TcnLayerParams(np.zeros_like(params.tcn.kernels), np.zeros_like(params.tcn.biases)),
-        gru=GruLayerParams(
-            *(np.zeros_like(a) for a in (
-                params.gru.w_update, params.gru.w_reset, params.gru.w_cand,
-                params.gru.b_update, params.gru.b_reset, params.gru.b_cand,
-            ))
-        ),
-        dense=DenseParams(np.zeros_like(params.dense.weights), np.zeros_like(params.dense.biases)),
-    )
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """``1/(1+exp(-x))`` for x >= 0 and ``exp(x)/(1+exp(x))`` below, bit for
     bit, without masks. ``exp`` only sees -|x|, so it cannot overflow, and
@@ -189,15 +176,6 @@ def tcn_forward_batch(x: np.ndarray, params: TcnLayerParams):
     pre = cols @ flat_w.T + params.biases
     out = np.maximum(pre, 0.0)
     return out, (cols, pre > 0)
-
-
-def tcn_forward(x: np.ndarray, params: TcnLayerParams) -> np.ndarray:
-    """Single-sequence (T, D) -> (T, filters) convenience wrapper."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise InputError("tcn_forward expects a (T, D) sequence")
-    out, _ = tcn_forward_batch(x[None], params)
-    return out[0]
 
 
 def tcn_backward_batch(d_out, cache, params: TcnLayerParams) -> TcnLayerParams:
@@ -257,16 +235,6 @@ def gru_forward_batch(x: np.ndarray, params: GruLayerParams, lengths: np.ndarray
     last = h_all[np.arange(b), lengths, :]
     cache = (x, h_all, zr_all, c_all, lengths, (wx, uc, u_zr))
     return last, cache
-
-
-def gru_forward(h_seq: np.ndarray, params: GruLayerParams) -> np.ndarray:
-    """Single sequence (T, F) -> final hidden state (hidden,), h0 = 0."""
-    h_seq = np.asarray(h_seq)
-    if h_seq.ndim != 2:
-        raise InputError("gru_forward expects a (T, F) sequence")
-    lengths = np.array([h_seq.shape[0]])
-    last, _ = gru_forward_batch(h_seq[None], params, lengths)
-    return last[0]
 
 
 def gru_backward_batch(d_last, cache, params: GruLayerParams):
@@ -329,13 +297,6 @@ def dense_softmax(state: np.ndarray, params: DenseParams) -> np.ndarray:
 
 
 PROB_FLOOR = 1e-12
-
-
-def cross_entropy(probs: np.ndarray, one_hot_label: np.ndarray) -> float:
-    """Negative log probability of the labelled class, floored at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    label = int(np.argmax(one_hot_label))
-    return float(-np.log(max(probs[label], PROB_FLOOR)))
 
 
 @dataclass

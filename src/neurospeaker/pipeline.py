@@ -8,7 +8,6 @@ modality.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,7 +127,6 @@ class TrainResult:
     params: nn.ClassifierParams
     curves: list[tuple[int, float, float]]
     stats: FeatureStats | None
-    adam: nn.AdamState
 
 
 def check_dimension_contracts(
@@ -296,10 +294,6 @@ def assemble_dataset(
     return dataset
 
 
-def batch_count(n_items: int, batch_size: int) -> int:
-    return math.ceil(n_items / batch_size)
-
-
 def predict(
     params: nn.ClassifierParams,
     items: list[tuple[FeatureSequence, int]],
@@ -400,7 +394,7 @@ def train(
             val_preds = predict(params, val_items, config.batch_size)
             val_acc = int(np.sum(val_preds == val_labels)) / len(val_items)
         curves.append((epoch, train_acc, val_acc))
-    return TrainResult(params=params, curves=curves, stats=stats, adam=adam)
+    return TrainResult(params=params, curves=curves, stats=stats)
 
 
 def evaluate(
@@ -445,7 +439,6 @@ class ExperimentResult:
     reports: dict[Modality, EvalReport]
     results: dict[Modality, TrainResult]
     kpca_model: kpca.KpcaModel
-    speakers: dict[str, int]
 
 
 def run_experiment(
@@ -489,5 +482,4 @@ def run_experiment(
         reports=reports,
         results=results,
         kpca_model=kpca_model,
-        speakers=speakers,
     )

@@ -3,11 +3,15 @@ import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neurospeaker import fileio, nn
-from neurospeaker.cli import main
+from neurospeaker.cli import FEATURE_COLUMNS, main
 from neurospeaker.core import make_rng
+from neurospeaker.features import Modality
+
+from test_fileio import BAD_TENSORS, write_bad_checkpoint
 
 TINY = [
     "--set", "synth.utterances_per_speaker=3",
@@ -70,8 +74,24 @@ class TestStages:
         _, _, _, feats = staged
         lines = (feats / "explained_variance.csv").read_text().strip().splitlines()
         assert len(lines) == 31  # header + 30 component rows
-        model = fileio.read_kpca_model(feats / "kpca_model.kpca")
-        assert model.n_components == 30
+        for row in fileio.read_index(feats / "features.csv", FEATURE_COLUMNS):
+            seq = fileio.read_fseq(feats / row["eeg30_path"])
+            assert seq.modality is Modality.EEG30 and seq.dim == 30
+
+    def test_kpca_writes_only_eeg30_index_and_variance(self, staged, tmp_path):
+        _, _, _, feats = staged
+        out = tmp_path / "kpca"
+        assert main(["kpca", "--features", str(feats), "--out", str(out), "--seed", "21", *TINY]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["eeg30", "explained_variance.csv", "features.csv"]
+
+    def test_train_checkpoint_holds_parameters_and_norm_only(self, staged, tmp_path):
+        _, _, _, feats = staged
+        run = tmp_path / "run"
+        assert main(["train", "--features", str(feats), "--out", str(run),
+                     "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"]) == 0
+        # read_checkpoint returns every tensor beyond the ten parameters as an extra
+        _, extras, _ = fileio.read_checkpoint(run / "checkpoint.nspk")
+        assert sorted(extras) == ["norm.mean", "norm.std"]
 
     def test_train_then_eval(self, staged, tmp_path):
         _, _, _, feats = staged
@@ -113,12 +133,57 @@ class TestStages:
                      "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"])
         assert code == 2
 
+    @pytest.mark.parametrize("name, array", BAD_TENSORS, ids=[name for name, _ in BAD_TENSORS])
+    def test_eval_checkpoint_with_misshapen_tensor_exits_2(self, staged, tmp_path, name, array):
+        _, _, _, feats = staged
+        path = tmp_path / "bad.nspk"
+        write_bad_checkpoint(path, name, array)
+        assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
+
+    def test_eval_checkpoint_with_adam_state_exits_0(self, staged, tmp_path):
+        """Checkpoints written before optimiser state was dropped still evaluate."""
+        _, _, _, feats = staged
+        params = nn.init_classifier(43, 4, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
+        adam = nn.adam_init(params)
+        extras = {"norm.mean": np.zeros(43), "norm.std": np.ones(43), "adam.step": np.array(6.0)}
+        extras.update((f"adam.m.{name}", arr) for name, arr in adam.m.items())
+        extras.update((f"adam.v.{name}", arr) for name, arr in adam.v.items())
+        path = tmp_path / "old.nspk"
+        fileio.write_checkpoint(path, params, extras)
+        assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 0
+
     def test_eval_speaker_count_mismatch_exits_3(self, staged, tmp_path):
         _, _, _, feats = staged
         bogus = nn.init_classifier(43, 8, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
         path = tmp_path / "bogus.nspk"
         fileio.write_checkpoint(path, bogus)
         assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 3
+
+    def test_train_on_short_feature_index_row_exits_2(self, staged, tmp_path):
+        _, _, _, feats = staged
+        broken = tmp_path / "feats"
+        shutil.copytree(feats, broken)
+        index = broken / "features.csv"
+        lines = index.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]
+        index.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--features", str(broken), "--out", str(tmp_path / "run"),
+                     "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"])
+        assert code == 2
+
+    @pytest.mark.parametrize("damage", ["empty wav", "short manifest row"])
+    def test_preprocess_on_damaged_corpus_exits_2(self, staged, tmp_path, damage):
+        _, corpus, _, _ = staged
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        if damage == "empty wav":
+            sorted((broken / "audio").glob("*.wav"))[0].write_bytes(b"")
+        else:
+            manifest = broken / "manifest.csv"
+            lines = manifest.read_text().splitlines()
+            lines[1] = lines[1].rsplit(",", 1)[0]
+            manifest.write_text("\n".join(lines) + "\n")
+        assert main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY]) == 2
 
     def test_train_without_kpca_stage_exits_3(self, tmp_path):
         corpus, clean, feats = tmp_path / "c", tmp_path / "cl", tmp_path / "f"

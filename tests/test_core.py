@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from neurospeaker.core import (
     derive_seed,
     largest_remainder_counts,
     make_rng,
-    one_hot,
     split_dataset,
 )
 from neurospeaker.errors import InputError
@@ -28,28 +29,6 @@ def make_items(counts_per_speaker):
     return items
 
 
-def test_one_hot_basis_vectors():
-    assert one_hot(0, 4).tolist() == [1, 0, 0, 0]
-    assert one_hot(3, 4).tolist() == [0, 0, 0, 1]
-    assert one_hot(7, 8).tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
-
-
-def test_one_hot_rejects_out_of_range():
-    with pytest.raises(InputError):
-        one_hot(4, 4)
-    with pytest.raises(InputError):
-        one_hot(-1, 4)
-
-
-@settings(max_examples=30)
-@given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=10))
-def test_one_hot_properties(label, extra):
-    n = label + extra
-    vec = one_hot(label, n)
-    assert vec.sum() == 1.0
-    assert vec[label] == 1.0
-
-
 def test_largest_remainder_exact_sums():
     assert largest_remainder_counts(100, (0.8, 0.1, 0.1)) == [80, 10, 10]
     assert largest_remainder_counts(1800, (0.8, 0.1, 0.1)) == [1440, 180, 180]
@@ -66,13 +45,13 @@ def test_largest_remainder_always_sums_to_total(total):
 
 def test_split_100_items_gives_80_10_10():
     dataset = split_dataset(make_items([25, 25, 25, 25]), rng=make_rng(3))
-    assert dataset.counts() == {"train": 80, "val": 10, "test": 10}
+    assert Counter(dataset.partition) == {"train": 80, "val": 10, "test": 10}
 
 
 def test_split_1800_items_gives_table_consistent_sizes():
     # 180-item test partitions make the published accuracies k/180 rationals.
     dataset = split_dataset(make_items([450] * 4), rng=make_rng(9))
-    assert dataset.counts() == {"train": 1440, "val": 180, "test": 180}
+    assert Counter(dataset.partition) == {"train": 1440, "val": 180, "test": 180}
 
 
 def test_split_stratified_every_speaker_trains():
@@ -107,7 +86,7 @@ def test_split_rejects_fewer_items_than_speakers():
 def test_split_counts_match_largest_remainder(per_speaker, seed):
     items = make_items(per_speaker)
     dataset = split_dataset(items, rng=make_rng(seed))
-    counts = dataset.counts()
+    counts = Counter(dataset.partition)
     expected = largest_remainder_counts(len(items), (0.8, 0.1, 0.1))
     # the >=1-train-per-speaker rule may only move items toward train
     assert counts["train"] >= expected[0] or counts["train"] == expected[0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from neurospeaker import dsp
 from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
@@ -140,6 +141,34 @@ class TestApplyFilter:
         bp = dsp.design_bandpass(4, 0.1, 70.0, FS)
         with pytest.raises(InputError):
             dsp.apply_filter_block(bp, np.zeros((2, 0)))
+
+
+def as_sos(cascade):
+    """The cascade in scipy's second-order-sections layout."""
+    return np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in cascade.sections])
+
+
+SCIPY_CASES = {
+    "bandpass_4_0.1_70": lambda: dsp.design_bandpass(4, 0.1, 70.0, FS),
+    "notch_60_q30": lambda: dsp.design_notch(60.0, 30.0, FS),
+    "bandpass_8_1_40": lambda: dsp.design_bandpass(8, 1.0, 40.0, FS),
+}
+
+
+@pytest.mark.parametrize("design", SCIPY_CASES.values(), ids=SCIPY_CASES.keys())
+class TestScipyOracle:
+    """scipy.signal applies and evaluates the same sections independently."""
+
+    def test_apply_filter_block_matches_sosfilt(self, design):
+        cascade = design()
+        block = make_rng(40).standard_normal((5, 2000))
+        expected = signal.sosfilt(as_sos(cascade), block, axis=1)
+        np.testing.assert_array_equal(dsp.apply_filter_block(cascade, block), expected)
+
+    def test_response_matches_sosfreqz(self, design):
+        cascade = design()
+        freqs, expected = signal.sosfreqz(as_sos(cascade), fs=FS)
+        np.testing.assert_allclose(cascade.response(freqs, FS), expected, rtol=0, atol=1e-11)
 
 
 class TestFraming:

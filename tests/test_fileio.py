@@ -2,11 +2,32 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neurospeaker import fileio, kpca, nn
+from neurospeaker import fileio, nn
 from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
 from neurospeaker.errors import FormatError
 from neurospeaker.features import FeatureSequence, Modality
+
+
+# One tensor each, shaped against a 43-dim, 4-speaker checkpoint with four
+# filters and hidden width four: wrong rank, wrong rows, wrong length.
+BAD_TENSORS = [
+    ("tcn.kernels", np.zeros(4 * 3 * 43)),
+    ("gru.w_reset", np.zeros((3, 8))),
+    ("tcn.biases", np.zeros(7)),
+]
+
+
+def write_bad_checkpoint(path, name, array):
+    """A valid 43-dim, 4-speaker checkpoint except that tensor ``name`` is
+    ``array``; write_checkpoint itself cannot write a misshapen parameter."""
+    params = nn.init_classifier(43, 4, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
+    with open(path, "wb") as fh:
+        fh.write(b"NSPK" + struct.pack("<HIII", 1, 43, 4, 3))
+        for tensor_name, arr in {**dict(params.named_arrays()), name: array}.items():
+            fileio._write_tensor(fh, tensor_name, arr)
 
 
 class TestFseq:
@@ -59,14 +80,6 @@ class TestFseq:
         with pytest.raises(FormatError):
             fileio.read_fseq(path)
 
-    def test_csv_export(self, tmp_path):
-        seq = FeatureSequence(np.ones((3, 13), dtype=np.float32), 100, Modality.MFCC13, "u")
-        path = tmp_path / "d.csv"
-        fileio.write_fseq_csv(path, seq)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[0] == "d0"
-        assert len(lines) == 4
-
 
 class TestEeg:
     def test_round_trip(self, tmp_path):
@@ -114,6 +127,17 @@ class TestWav:
         with pytest.raises(FormatError):
             fileio.read_wav(path)
 
+    @pytest.mark.parametrize("keep", [0, 4, 20, -1])
+    def test_empty_or_truncated_file_rejected(self, tmp_path, keep):
+        """Nothing, a cut inside the RIFF or fmt header, or an odd byte
+        short of the data chunk."""
+        path = tmp_path / "a.wav"
+        fileio.write_wav(path, SignalRecord(16000, np.zeros((1, 50)), ("mono",)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep])
+        with pytest.raises(FormatError):
+            fileio.read_wav(path)
+
 
 class TestManifest:
     def test_round_trip_and_speaker_index(self, tmp_path):
@@ -134,24 +158,42 @@ class TestManifest:
         with pytest.raises(FormatError):
             fileio.read_manifest(path)
 
+    @pytest.mark.parametrize("row", ["u0,spk0,audio/u0.wav", "u0,spk0,audio/u0.wav,eeg/u0.eeg,x"])
+    def test_row_with_missing_or_extra_field_rejected(self, tmp_path, row):
+        path = tmp_path / "manifest.csv"
+        path.write_text(",".join(fileio.MANIFEST_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(FormatError, match="line 2"):
+            fileio.read_manifest(path)
+
+    def test_non_text_rejected(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(",".join(fileio.MANIFEST_COLUMNS).encode() + b"\n\xff\xfe,s,a,e\n")
+        with pytest.raises(FormatError):
+            fileio.read_manifest(path)
+
 
 class TestCheckpoint:
     def _params(self):
         return nn.init_classifier(43, 4, make_rng(0), tcn_filters=8, tcn_width=3, gru_hidden=6)
 
     def test_round_trip_with_extras_and_adam(self, tmp_path):
+        """Older checkpoints also carry Adam state as adam.* tensors; any
+        tensor beyond the ten parameters reads back as an extra."""
         params = self._params()
-        adam = nn.adam_init(params, lr=2e-3)
-        extras = {"norm.mean": np.arange(43, dtype=np.float64)}
+        extras = {
+            "norm.mean": np.arange(43, dtype=np.float64),
+            "adam.step": np.array(12.0),
+            "adam.m.tcn.biases": np.ones(8),
+        }
         path = tmp_path / "model.nspk"
-        fileio.write_checkpoint(path, params, extras, adam)
+        fileio.write_checkpoint(path, params, extras)
         loaded, loaded_extras, header = fileio.read_checkpoint(path)
         assert header == {"input_dim": 43, "n_speakers": 4, "tcn_width": 3}
         for (name, a), (_, b) in zip(params.named_arrays(), loaded.named_arrays()):
             np.testing.assert_array_equal(a.astype(np.float32), b)
-        np.testing.assert_array_equal(loaded_extras["norm.mean"], np.arange(43, dtype=np.float32))
-        assert loaded_extras["adam.lr"].item() == np.float32(2e-3)
-        assert loaded_extras["adam.step"].item() == 0.0
+        assert list(loaded_extras) == list(extras)
+        for name, arr in extras.items():
+            np.testing.assert_array_equal(loaded_extras[name], arr.astype(np.float32))
 
     def test_magic_and_header(self, tmp_path):
         path = tmp_path / "model.nspk"
@@ -188,6 +230,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             fileio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("name, array", BAD_TENSORS, ids=[name for name, _ in BAD_TENSORS])
+    def test_tensor_shape_disagreeing_with_header_rejected(self, tmp_path, name, array):
+        path = tmp_path / "model.nspk"
+        write_bad_checkpoint(path, name, array)
+        with pytest.raises(FormatError, match=name):
+            fileio.read_checkpoint(path)
+
     def test_undecodable_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "model.nspk"
         fileio.write_checkpoint(path, self._params())
@@ -198,21 +247,34 @@ class TestCheckpoint:
             fileio.read_checkpoint(path)
 
 
-class TestKpcaContainer:
-    def test_round_trip(self, tmp_path):
-        rng = make_rng(2)
-        x = rng.standard_normal((40, 8))
-        model = kpca.fit_kpca(x, kpca.KernelSpec(kind="poly", degree=3, coef0=1.0), 5)
-        path = tmp_path / "model.kpca"
-        fileio.write_kpca_model(path, model)
-        loaded = fileio.read_kpca_model(path)
-        assert loaded.kernel == model.kernel
-        assert loaded.n_components == 5
-        # float32 storage: projections agree to float32 precision
-        q = rng.standard_normal(8)
-        np.testing.assert_allclose(
-            kpca.transform(loaded, q), kpca.transform(model, q), rtol=2e-4, atol=2e-4
-        )
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("nspk") / "small.nspk"
+    params = nn.init_classifier(5, 3, make_rng(1), tcn_filters=2, tcn_width=2, gru_hidden=3)
+    fileio.write_checkpoint(path, params, {"norm.mean": np.zeros(5), "norm.std": np.ones(5)})
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_rejected_or_usable(small_checkpoint, data):
+    """A checkpoint cut short or with one byte flipped either fails as a
+    format error or yields weights the classifier runs on."""
+    raw = bytearray(small_checkpoint.read_bytes())
+    position = data.draw(st.integers(0, len(raw) - 1), label="position")
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:position]
+    else:
+        raw[position] ^= data.draw(st.integers(1, 255), label="xor")
+    path = small_checkpoint.with_name("corrupt.nspk")
+    path.write_bytes(bytes(raw))
+    try:
+        params, _, header = fileio.read_checkpoint(path)
+    except FormatError:
+        return
+    with np.errstate(all="ignore"):  # a flipped weight may be NaN or inf
+        probs, _, _ = nn.forward_batch(params, np.zeros((1, 5, header["input_dim"]), np.float32), np.array([5]))
+    assert probs.shape == (1, header["n_speakers"])
 
 
 class TestReports:

@@ -175,7 +175,7 @@ class TestScoring:
     def test_summary_lists_every_component(self):
         rng = make_rng(3)
         report = self._report(rng.standard_normal((3, 2000)))
-        assert len(report.summary().splitlines()) == 4
+        assert [row[0] for row in report.rows()] == [0, 1, 2]
 
 
 class TestReconstruct:

@@ -80,29 +80,29 @@ class TestTransform:
         x, model = self._model()
         fitted = kpca.training_projections(model)
         for i in (0, 7, 41):
-            out = kpca.transform(model, x[i])
+            out = kpca.transform_frames(model, x[i][None])[0]
             np.testing.assert_allclose(out, fitted[i], rtol=1e-8, atol=1e-8)
 
     def test_output_width_is_component_count(self):
         x, model = self._model(m=6)
-        assert kpca.transform(model, x[0]).shape == (6,)
+        assert kpca.transform_frames(model, x[:1]).shape == (1, 6)
         model30 = kpca.fit_kpca(
             make_rng(6).standard_normal((80, 155)), kpca.KernelSpec(), n_components=30
         )
         assert model30.n_components == 30
-        assert kpca.transform(model30, np.zeros(155)).shape == (30,)
+        assert kpca.transform_frames(model30, np.zeros((1, 155))).shape == (1, 30)
 
     def test_training_mean_projects_to_zero_linear_kernel(self):
         rng = make_rng(7)
         x = rng.standard_normal((50, 10))
         model = kpca.fit_kpca(x, kpca.KernelSpec(kind="linear"), n_components=5)
-        out = kpca.transform(model, x.mean(axis=0))
+        out = kpca.transform_frames(model, x.mean(axis=0)[None])
         np.testing.assert_allclose(out, 0.0, atol=1e-6)
 
     def test_dimension_mismatch_rejected(self):
         _, model = self._model(d=8)
         with pytest.raises(DimensionError):
-            kpca.transform(model, np.zeros(9))
+            kpca.transform_frames(model, np.zeros((1, 9)))
 
     def test_in_sample_projection_mean_is_zero(self):
         _, model = self._model(kind="rbf")
@@ -115,7 +115,8 @@ class TestTransform:
         queries = rng.standard_normal((7, 8))
         batch = kpca.transform_frames(model, queries, chunk=3)
         for i in range(7):
-            np.testing.assert_allclose(batch[i], kpca.transform(model, queries[i]), atol=1e-10)
+            one_row = kpca.transform_frames(model, queries[i : i + 1])
+            np.testing.assert_allclose(batch[i], one_row[0], atol=1e-10)
 
 
 class TestExplainedVariance:
@@ -161,12 +162,12 @@ def test_out_of_sample_transform_is_stable_under_refit():
     # guards regressions)
     rng = make_rng(13)
     x = rng.standard_normal((400, 8))
-    query = rng.standard_normal(8)
+    query = rng.standard_normal((1, 8))
     spec = kpca.KernelSpec(kind="poly", degree=3, coef0=1.0)
     before = kpca.fit_kpca(x, spec, n_components=4)
-    after = kpca.fit_kpca(np.vstack([x, query[None, :]]), spec, n_components=4)
-    p_before = kpca.transform(before, query)
-    p_after = kpca.transform(after, query)
+    after = kpca.fit_kpca(np.vstack([x, query]), spec, n_components=4)
+    p_before = kpca.transform_frames(before, query)[0]
+    p_after = kpca.transform_frames(after, query)[0]
     signs = np.sign(p_before * p_after)
     signs[signs == 0] = 1.0
     drift = np.linalg.norm(p_before - signs * p_after) / np.linalg.norm(p_before)

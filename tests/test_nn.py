@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from neurospeaker import nn
-from neurospeaker.core import make_rng, one_hot
+from neurospeaker.core import make_rng
 from neurospeaker.errors import DimensionError, InputError
 
 
@@ -32,6 +33,14 @@ def random_instance(seed, batch=3, t=7, input_dim=5, n_classes=3, min_pre_gap=2e
         if np.min(np.abs(pre)) > min_pre_gap:
             return params, x, lengths, labels
     raise AssertionError("could not find a kink-safe instance")
+
+
+def zero_grads(params):
+    """A gradient tree of zeros shaped like ``params``."""
+    zeros = copy.deepcopy(params)
+    for _, arr in zeros.named_arrays():
+        arr[...] = 0.0
+    return zeros
 
 
 def finite_difference_check(params, x, lengths, labels, h=1e-4):
@@ -64,7 +73,7 @@ class TestTcn:
         params = small_params(0)
         params.tcn.kernels[:] = 0.0
         params.tcn.biases[:] = 0.0
-        out = nn.tcn_forward(make_rng(1).standard_normal((9, 5)), params.tcn)
+        out, _ = nn.tcn_forward_batch(make_rng(1).standard_normal((1, 9, 5)), params.tcn)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_single_tap_kernel_shifts_input(self):
@@ -74,23 +83,23 @@ class TestTcn:
         # center tap of a width-3 kernel looks one step into the past
         params.tcn.kernels[0, 1, 2] = 1.0
         x = make_rng(2).standard_normal((8, 5))
-        out = nn.tcn_forward(x, params.tcn)
+        out, _ = nn.tcn_forward_batch(x[None], params.tcn)
         expected = np.maximum(np.concatenate([[0.0], x[:-1, 2]]), 0.0)
-        np.testing.assert_allclose(out[:, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(out[0, :, 0], expected, atol=1e-12)
 
     def test_causality_future_perturbation(self):
         params = small_params(3)
-        x = make_rng(4).standard_normal((10, 5))
-        base = nn.tcn_forward(x, params.tcn)
+        x = make_rng(4).standard_normal((1, 10, 5))
+        base, _ = nn.tcn_forward_batch(x, params.tcn)
         x2 = x.copy()
-        x2[-1] += 100.0
-        out = nn.tcn_forward(x2, params.tcn)
-        np.testing.assert_array_equal(base[:-1], out[:-1])
+        x2[0, -1] += 100.0
+        out, _ = nn.tcn_forward_batch(x2, params.tcn)
+        np.testing.assert_array_equal(base[0, :-1], out[0, :-1])
 
     def test_dimension_mismatch(self):
         params = small_params(0)
         with pytest.raises(DimensionError):
-            nn.tcn_forward(np.zeros((4, 6)), params.tcn)
+            nn.tcn_forward_batch(np.zeros((1, 4, 6)), params.tcn)
 
 
 class TestGru:
@@ -99,24 +108,25 @@ class TestGru:
         for arr in (params.gru.w_update, params.gru.w_reset, params.gru.w_cand,
                     params.gru.b_update, params.gru.b_reset, params.gru.b_cand):
             arr[:] = 0.0
-        out = nn.gru_forward(make_rng(5).standard_normal((6, 6)), params.gru)
+        out, _ = nn.gru_forward_batch(make_rng(5).standard_normal((1, 6, 6)), params.gru, np.array([6]))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_single_step_equals_cell(self):
         params = small_params(6)
         x = make_rng(7).standard_normal((1, 6))
-        out = nn.gru_forward(x, params.gru)
+        out, _ = nn.gru_forward_batch(x[None], params.gru, np.array([1]))
         g = params.gru
         f = 6
         z = 1 / (1 + np.exp(-(x[0] @ g.w_update[:, :f].T + g.b_update)))
         r = 1 / (1 + np.exp(-(x[0] @ g.w_reset[:, :f].T + g.b_reset)))
         c = np.tanh(x[0] @ g.w_cand[:, :f].T + g.b_cand)
         expected = (1 - z) * c  # h0 = 0
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_outputs_bounded(self):
         params = small_params(8)
-        out = nn.gru_forward(5.0 * make_rng(9).standard_normal((40, 6)), params.gru)
+        x = 5.0 * make_rng(9).standard_normal((1, 40, 6))
+        out, _ = nn.gru_forward_batch(x, params.gru, np.array([40]))
         assert np.all(np.abs(out) < 1.0)
 
     def test_last_valid_step_respected(self):
@@ -124,8 +134,8 @@ class TestGru:
         x = make_rng(11).standard_normal((2, 9, 6))
         lengths = np.array([5, 9])
         last, _ = nn.gru_forward_batch(x, params.gru, lengths)
-        solo = nn.gru_forward(x[0, :5], params.gru)
-        np.testing.assert_allclose(last[0], solo, atol=1e-12)
+        solo, _ = nn.gru_forward_batch(x[:1, :5], params.gru, np.array([5]))
+        np.testing.assert_allclose(last[0], solo[0], atol=1e-12)
 
     @pytest.mark.parametrize("lengths", [[0, 4], [4, 5], [4], [4, 4, 4]])
     def test_bad_lengths_rejected(self, lengths):
@@ -261,20 +271,32 @@ class TestDenseSoftmax:
 
 
 class TestCrossEntropy:
+    """The mean loss ``forward_batch`` returns for a labelled batch."""
+
+    @staticmethod
+    def _loss(n_classes, labels, biases, dtype=np.float64):
+        params = small_params(25, n_classes=n_classes, dtype=dtype)
+        params.dense.weights[:] = 0.0
+        params.dense.biases[:] = biases
+        x = make_rng(26).standard_normal((len(labels), 6, 5)).astype(dtype)
+        lengths = np.array([6, 4, 1][: len(labels)])
+        _, loss, _ = nn.forward_batch(params, x, lengths, np.array(labels))
+        return loss
+
     def test_uniform_four_classes(self):
-        assert abs(nn.cross_entropy(np.full(4, 0.25), one_hot(1, 4)) - math.log(4)) < 1e-12
+        assert abs(self._loss(4, [1, 3, 0], 0.0) - math.log(4)) < 1e-12
 
     def test_uniform_eight_classes(self):
-        assert abs(nn.cross_entropy(np.full(8, 0.125), one_hot(5, 8)) - math.log(8)) < 1e-12
+        assert abs(self._loss(8, [5, 7], 0.0) - math.log(8)) < 1e-12
 
     def test_perfect_prediction_zero_loss(self):
-        assert nn.cross_entropy(one_hot(2, 4), one_hot(2, 4)) == 0.0
+        assert self._loss(4, [2, 2, 2], [0.0, 0.0, 1000.0, 0.0]) == 0.0
 
     def test_floor_prevents_infinity(self):
-        probs = np.array([1.0, 0.0, 0.0])
-        loss = nn.cross_entropy(probs, one_hot(1, 3))
-        assert np.isfinite(loss)
-        assert abs(loss - (-math.log(1e-12))) < 1e-9
+        # The label's float32 probability underflows to 0 and is floored.
+        loss = self._loss(3, [1, 1], [1000.0, 0.0, 0.0], dtype=np.float32)
+        assert loss == float(-np.log(np.float32(nn.PROB_FLOOR)))
+        assert abs(loss - (-math.log(1e-12))) < 1e-6
 
 
 class TestBackward:
@@ -327,7 +349,7 @@ class TestAdam:
         params = small_params(18)
         before = {name: arr.copy() for name, arr in params.named_arrays()}
         state = nn.adam_init(params)
-        nn.adam_step(params, nn.zero_grads(params), state)
+        nn.adam_step(params, zero_grads(params), state)
         assert state.step == 1
         for name, arr in params.named_arrays():
             np.testing.assert_array_equal(arr, before[name])
@@ -335,7 +357,7 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         params = small_params(19)
         before = {name: arr.copy() for name, arr in params.named_arrays()}
-        grads = nn.zero_grads(params)
+        grads = zero_grads(params)
         for _, arr in grads.named_arrays():
             arr[:] = 0.37  # constant gradient: |update| ~= lr * sign
         state = nn.adam_init(params, lr=1e-3)
@@ -362,7 +384,7 @@ class TestAdam:
             arr[:] = 1.0
         state = nn.adam_init(params, lr=lr)
         for _ in range(200):
-            grads = nn.zero_grads(params)
+            grads = zero_grads(params)
             for name, arr in grads.named_arrays():
                 arr[:] = 2.0 * dict(params.named_arrays())[name]
             nn.adam_step(params, grads, state)
@@ -415,9 +437,9 @@ class TestPadBatch:
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6))
 def test_tcn_causality_property(t, seed):
     params = small_params(24)
-    x = make_rng(seed).standard_normal((t, 5))
-    base = nn.tcn_forward(x, params.tcn)
+    x = make_rng(seed).standard_normal((1, t, 5))
+    base, _ = nn.tcn_forward_batch(x, params.tcn)
     x2 = x.copy()
-    x2[-1] += 10.0
-    out = nn.tcn_forward(x2, params.tcn)
-    np.testing.assert_array_equal(base[:-1], out[:-1])
+    x2[0, -1] += 10.0
+    out, _ = nn.tcn_forward_batch(x2, params.tcn)
+    np.testing.assert_array_equal(base[0, :-1], out[0, :-1])

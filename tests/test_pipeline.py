@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from neurospeaker import pipeline
+from neurospeaker import nn, pipeline
+from neurospeaker.core import make_rng
 from neurospeaker.errors import DimensionError, InputError
 from neurospeaker.features import FeatureSequence, Modality
 from neurospeaker.synth import SynthSpec, generate_synthetic
@@ -91,11 +92,21 @@ class TestDimensionContracts:
 
 
 class TestBatching:
-    def test_batch_count_formula(self):
-        assert pipeline.batch_count(1440, 100) == 15
-        assert 1440 - 14 * 100 == 40  # last batch carries the remainder
-        assert pipeline.batch_count(100, 100) == 1
-        assert pipeline.batch_count(101, 100) == 2
+    def test_batch_count_formula(self, monkeypatch):
+        sizes = []
+        forward = nn.forward_batch
+
+        def spy(params, x, lengths, labels=None):
+            sizes.append(x.shape[0])
+            return forward(params, x, lengths, labels)
+
+        monkeypatch.setattr(nn, "forward_batch", spy)
+        params = nn.init_classifier(13, 2, make_rng(0), tcn_filters=2, gru_hidden=2)
+        seq = FeatureSequence(np.zeros((2, 13), dtype=np.float32), 100, Modality.MFCC13, "u")
+        for n, batch_size, expected in [(101, 100, [100, 1]), (100, 100, [100]), (7, 3, [3, 3, 1])]:
+            sizes.clear()
+            assert pipeline.predict(params, [(seq, 0)] * n, batch_size).shape == (n,)
+            assert sizes == expected  # ceil(n / batch_size) batches; the last carries the rest
 
 
 class TestTrainConfig:
