@@ -38,6 +38,8 @@ EXIT_NUMERIC = 4
 
 FEATURES_INDEX = "features.csv"
 FEATURE_COLUMNS = ("utterance_id", "speaker_label", "mfcc_path", "eeg155_path", "eeg30_path")
+# The streams a classifier trains on, keyed by the checkpoint's input width.
+TRAINABLE = {m.dim: m for m in pipeline.MODALITY_COLUMNS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +87,10 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--modality", type=str, default=None, help="MFCC13, EEG30, or FUSED43")
+    p.add_argument(
+        "--modality", type=str.upper, default="FUSED43",
+        choices=[m.name for m in TRAINABLE.values()], help="case-insensitive (default FUSED43)",
+    )
     p.add_argument("--svg", action="store_true", help="also render the accuracy curves as SVG")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test partition")
@@ -281,9 +286,7 @@ def _assemble_from_dir(features_dir: Path, config: RunConfig, modality: Modality
 def _write_trained_model(out: Path, suffix: str, result: pipeline.TrainResult, svg: bool) -> None:
     """checkpoint<suffix>.nspk with the normalization statistics as norm.*
     extras, curves<suffix>.csv and, when asked, curves<suffix>.svg."""
-    extras = {}
-    if result.stats is not None:
-        extras = {"norm.mean": result.stats.mean, "norm.std": result.stats.std}
+    extras = {"norm.mean": result.stats.mean, "norm.std": result.stats.std}
     fileio.write_checkpoint(out / f"checkpoint{suffix}.nspk", result.params, extras)
     fileio.write_curves_csv(out / f"curves{suffix}.csv", result.curves)
     if svg:
@@ -292,11 +295,9 @@ def _write_trained_model(out: Path, suffix: str, result: pipeline.TrainResult, s
 
 def cmd_train(args) -> int:
     config = _load_run_config(args)
-    modality = config["train.modality"]
-    if args.modality is not None:
-        modality = Modality[args.modality.strip().upper()]
+    modality = Modality[args.modality]
     dataset = _assemble_from_dir(args.features, config, modality)
-    result = pipeline.train(dataset, config.train_config(modality=modality))
+    result = pipeline.train(dataset, config.train_config())
     _write_trained_model(_ensure_dir(args.out), "", result, args.svg)
     final = result.curves[-1]
     print(
@@ -309,10 +310,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_run_config(args)
     params, extras, header = fileio.read_checkpoint(args.checkpoint)
-    modality_dims = {m.dim: m for m in (Modality.MFCC13, Modality.EEG30, Modality.FUSED43)}
-    if header["input_dim"] not in modality_dims:
+    if header["input_dim"] not in TRAINABLE:
         raise DimensionError(f"checkpoint input dim {header['input_dim']} matches no modality")
-    modality = modality_dims[header["input_dim"]]
+    modality = TRAINABLE[header["input_dim"]]
     dataset = _assemble_from_dir(args.features, config, modality)
     if dataset.n_speakers != header["n_speakers"]:
         raise DimensionError(

@@ -12,29 +12,11 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .features import MfccConfig, Modality
+from .features import MfccConfig
 from .ica import ArtifactThresholds
 from .kpca import KernelSpec
 from .pipeline import DspConfig, IcaConfig, KpcaConfig, TrainConfig
 from .synth import SynthSpec
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_modality(text: str) -> Modality:
-    try:
-        return Modality[text.strip().upper()]
-    except KeyError:
-        raise ValueError(
-            f"not a modality: {text!r} (choose from {', '.join(m.name for m in Modality)})"
-        )
 
 
 def _parse_epochs(text: str):
@@ -80,7 +62,6 @@ REGISTRY: tuple[ConfigKey, ...] = (
     ConfigKey("dsp.notch_hz", float, "published", "power-line notch center", DspConfig, "notch_hz"),
     ConfigKey("dsp.notch_q", float, "decision", "notch quality factor", DspConfig, "notch_q"),
     ConfigKey("dsp.frame_length", int, "decision", "EEG feature window (samples at 1 kHz)", DspConfig, "frame_length"),
-    ConfigKey("dsp.hop_length", int, "published", "EEG feature hop; realizes the 100 Hz feature rate", DspConfig, "hop_length"),
     # ica
     ConfigKey("ica.max_iter", int, "decision", "FastICA iteration cap", IcaConfig, "max_iter"),
     ConfigKey("ica.tol", float, "decision", "FastICA convergence tolerance", IcaConfig, "tol"),
@@ -89,7 +70,6 @@ REGISTRY: tuple[ConfigKey, ...] = (
     ConfigKey("ica.lowfreq_cutoff_hz", float, "decision", "low-frequency band edge for the ratio", ArtifactThresholds, "lowfreq_cutoff_hz"),
     ConfigKey("ica.max_amplitude_z_threshold", float, "decision", "reject max-amplitude z-score above this", ArtifactThresholds, "max_amplitude_z"),
     # features
-    ConfigKey("features.normalize", _parse_bool, "decision", "z-score features with training statistics", TrainConfig, "normalize"),
     ConfigKey("features.mfcc_window_ms", float, "decision", "MFCC analysis window", MfccConfig, "window_ms"),
     ConfigKey("features.mfcc_fft_size", int, "decision", "MFCC FFT size", MfccConfig, "fft_size"),
     ConfigKey("features.mfcc_filters", int, "decision", "mel filter count", MfccConfig, "n_filters"),
@@ -99,7 +79,6 @@ REGISTRY: tuple[ConfigKey, ...] = (
     ConfigKey("kpca.degree", int, "decision", "polynomial kernel degree", KernelSpec, "degree"),
     ConfigKey("kpca.coef0", float, "decision", "polynomial kernel offset", KernelSpec, "coef0"),
     ConfigKey("kpca.gamma", float, "decision", "rbf width; 0 means 1/dim", KernelSpec, "gamma", none_as=0.0),
-    ConfigKey("kpca.n_components", int, "published", "reduced EEG feature dimension", KpcaConfig, "n_components"),
     ConfigKey("kpca.max_fit_frames", int, "decision", "training frames used to fit the kernel matrix", KpcaConfig, "max_fit_frames"),
     # nn / train
     ConfigKey("nn.tcn_filters", int, "published", "TCN filter count", TrainConfig, "tcn_filters"),
@@ -107,9 +86,6 @@ REGISTRY: tuple[ConfigKey, ...] = (
     ConfigKey("nn.gru_hidden", int, "published", "GRU hidden units", TrainConfig, "gru_hidden"),
     ConfigKey("train.epochs", _parse_epochs, "published", "epochs; auto = 300 (500 for 8 speakers)", TrainConfig, "epochs"),
     ConfigKey("train.batch_size", int, "published", "mini-batch size", TrainConfig, "batch_size"),
-    ConfigKey("train.validation_fraction", float, "published", "validation split knob (used when carving)", TrainConfig, "validation_fraction"),
-    ConfigKey("train.carve_validation_from_train", _parse_bool, "decision", "carve validation from train instead of the reserved partition", TrainConfig, "carve_validation_from_train"),
-    ConfigKey("train.modality", _parse_modality, "decision", "feature stream to train on", TrainConfig, "modality"),
     ConfigKey("train.learning_rate", float, "decision", "Adam learning rate (the optimizer's canonical default)", TrainConfig, "learning_rate"),
     ConfigKey("train.beta1", float, "decision", "Adam beta1", TrainConfig, "beta1"),
     ConfigKey("train.beta2", float, "decision", "Adam beta2", TrainConfig, "beta2"),
@@ -147,8 +123,8 @@ class RunConfig:
         kwargs.update(overrides)
         return cls(**kwargs)
 
-    def synth_spec(self, **overrides) -> SynthSpec:
-        return self._build(SynthSpec, **overrides)
+    def synth_spec(self) -> SynthSpec:
+        return self._build(SynthSpec)
 
     def dsp_config(self) -> DspConfig:
         return self._build(DspConfig)
@@ -162,9 +138,9 @@ class RunConfig:
     def kpca_config(self) -> KpcaConfig:
         return self._build(KpcaConfig)
 
-    def train_config(self, **overrides) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         # The root seed lives on SynthSpec and seeds training too.
-        return self._build(TrainConfig, **{"seed": self.seed, **overrides})
+        return self._build(TrainConfig, seed=self.seed)
 
 
 def parse_assignment(line: str) -> tuple[str, str]:
@@ -221,8 +197,5 @@ def load_config(
 def registry_help() -> str:
     lines = ["configuration keys (default, provenance):"]
     for key in REGISTRY:
-        default = key.default
-        if isinstance(default, Modality):
-            default = default.name
-        lines.append(f"  {key.name} = {default}  [{key.provenance}] {key.help}")
+        lines.append(f"  {key.name} = {key.default}  [{key.provenance}] {key.help}")
     return "\n".join(lines)

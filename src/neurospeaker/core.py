@@ -77,7 +77,8 @@ def default_channel_labels(n: int, prefix: str = "ch") -> tuple[str, ...]:
 
 @dataclass
 class LabeledDataset:
-    """Utterance-level (features, speaker) pairs with a frozen train/val/test partition."""
+    """Utterance-level (features, speaker) pairs with a frozen train/val/test
+    partition; an utterance id belongs to one partition only."""
 
     items: list[tuple["FeatureSequence", int]]
     n_speakers: int
@@ -97,6 +98,13 @@ class LabeledDataset:
         if train_speakers != set(range(self.n_speakers)):
             missing = sorted(set(range(self.n_speakers)) - train_speakers)
             raise InputError(f"speakers {missing} have no training items")
+        seen: dict[str, str] = {}
+        for (seq, _), tag in zip(self.items, self.partition):
+            if seen.setdefault(seq.utterance_id, tag) != tag:
+                raise InputError(
+                    f"utterance {seq.utterance_id!r} appears in partitions "
+                    f"{seen[seq.utterance_id]!r} and {tag!r}"
+                )
 
     def indices(self, tag: str) -> list[int]:
         return [i for i, t in enumerate(self.partition) if t == tag]
@@ -120,21 +128,16 @@ def largest_remainder_counts(total: int, ratios: Sequence[float]) -> list[int]:
 
 
 def split_dataset(
-    items: list[tuple["FeatureSequence", int]],
-    ratios: Sequence[float] = DEFAULT_SPLIT_RATIOS,
-    rng: np.random.Generator | None = None,
+    items: list[tuple["FeatureSequence", int]], rng: np.random.Generator
 ) -> LabeledDataset:
     """Shuffle and partition utterances into train/val/test.
 
-    Global partition sizes follow largest-remainder rounding of ``ratios``;
-    assignment is stratified per speaker (proportional quotas, and every
-    speaker keeps at least one training item). The shuffle is driven solely
-    by ``rng``.
+    Global partition sizes follow largest-remainder rounding of
+    ``DEFAULT_SPLIT_RATIOS``; assignment is stratified per speaker
+    (proportional quotas, and every speaker keeps at least one training
+    item). The shuffle is driven solely by ``rng``.
     """
-    if rng is None:
-        raise InputError("split_dataset requires an explicit rng")
-    if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
-        raise InputError(f"ratios must be three values summing to 1, got {ratios}")
+    ratios = DEFAULT_SPLIT_RATIOS
     labels = [label for _, label in items]
     if not labels:
         raise InputError("cannot split an empty item list")
@@ -186,5 +189,4 @@ def split_dataset(
         tags[idx] = PARTITIONS[part]
         assigned[part] += 1
 
-    dataset = LabeledDataset(items=list(items), n_speakers=n_speakers, partition=tuple(tags))
-    return dataset
+    return LabeledDataset(items=list(items), n_speakers=n_speakers, partition=tuple(tags))

@@ -62,6 +62,8 @@ class FeatureSequence:
                 f"{self.modality.name} expects {self.modality.dim} dims, "
                 f"got {self.frames.shape[1]}"
             )
+        if self.rate_hz <= 0:
+            raise InputError(f"rate_hz must be positive, got {self.rate_hz}")
         if not np.all(np.isfinite(self.frames)):
             raise InputError(f"non-finite features in utterance {self.utterance_id!r}")
 
@@ -129,16 +131,29 @@ def eeg_frame_features(frame: np.ndarray) -> np.ndarray:
     return _feature_block(frame[np.newaxis, :])[0]
 
 
+def _feature_hop(sample_rate_hz: float) -> int:
+    """Samples between consecutive frames: the hop that gives ``FEATURE_RATE_HZ``."""
+    hop = sample_rate_hz / FEATURE_RATE_HZ
+    if hop < 1 or hop != int(hop):
+        raise InputError(
+            f"{sample_rate_hz:g} Hz is not a whole multiple of the "
+            f"{FEATURE_RATE_HZ} Hz feature rate"
+        )
+    return int(hop)
+
+
 def extract_eeg_features(
     clean_eeg: SignalRecord,
-    spec: FrameSpec = FrameSpec(100, 10),
+    frame_length: int = 100,
     utterance_id: str = "",
 ) -> FeatureSequence:
-    """Per-frame concatenation of the five features over all 31 channels (155 dims)."""
+    """Per-frame concatenation of the five features over all 31 channels (155 dims),
+    from ``frame_length``-sample windows at the 100 Hz feature rate."""
     if clean_eeg.channels != EEG_CHANNELS:
         raise DimensionError(
             f"expected {EEG_CHANNELS} EEG channels, got {clean_eeg.channels}"
         )
+    spec = FrameSpec(frame_length, _feature_hop(clean_eeg.sample_rate_hz))
     windows = frame_signal(clean_eeg, spec)  # (C, T, L)
     feats = _feature_block(windows)  # (C, T, 5)
     frames = np.transpose(feats, (1, 0, 2)).reshape(feats.shape[1], -1)
@@ -149,20 +164,14 @@ def extract_eeg_features(
 class MfccConfig:
     sample_rate_hz: int = 16000
     window_ms: float = 25.0
-    hop_ms: float = 10.0
     fft_size: int = 512
     n_filters: int = 26
-    n_coeffs: int = 13
     preemphasis: float = 0.97
     log_floor: float = 1e-10
 
     @property
     def frame_length(self) -> int:
         return int(round(self.sample_rate_hz * self.window_ms / 1000.0))
-
-    @property
-    def hop_length(self) -> int:
-        return int(round(self.sample_rate_hz * self.hop_ms / 1000.0))
 
 
 @dataclass(frozen=True)
@@ -227,7 +236,7 @@ def extract_mfcc(
         raise InputError(f"expected mono audio, got {audio.channels} channels")
     x = audio.samples[0]
     emphasized = np.concatenate([x[:1], x[1:] - config.preemphasis * x[:-1]])
-    spec = FrameSpec(config.frame_length, config.hop_length)
+    spec = FrameSpec(config.frame_length, _feature_hop(audio.sample_rate_hz))
     record = SignalRecord(audio.sample_rate_hz, emphasized[np.newaxis, :], ("mono",))
     windows = frame_signal(record, spec)[0]  # (T, frame_length)
     hann = np.hanning(config.frame_length)
@@ -235,7 +244,7 @@ def extract_mfcc(
     bank = mel_filterbank(config.n_filters, config.fft_size, config.sample_rate_hz)
     energies = power @ bank.weights.T
     log_mel = np.log(np.maximum(energies, config.log_floor))
-    coeffs = log_mel @ _dct_matrix(config.n_coeffs, config.n_filters).T
+    coeffs = log_mel @ _dct_matrix(Modality.MFCC13.dim, config.n_filters).T
     return FeatureSequence(coeffs, FEATURE_RATE_HZ, Modality.MFCC13, utterance_id)
 
 

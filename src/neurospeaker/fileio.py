@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SignalRecord, default_channel_labels
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, InputError
 from .features import FeatureSequence, Modality
 from .nn import ClassifierParams, DenseParams, GruLayerParams, TcnLayerParams
 
@@ -59,7 +59,10 @@ def read_fseq(path: Path | str, utterance_id: str = "") -> FeatureSequence:
             raise FormatError(f"{path}: truncated payload ({t} x {d} frames claimed)")
         payload = fh.read(size)
         frames = np.frombuffer(payload, dtype="<f4").reshape(t, d)
-    return FeatureSequence(frames, rate_hz, modality, utterance_id)
+    try:
+        return FeatureSequence(frames, rate_hz, modality, utterance_id)
+    except InputError as exc:  # e.g. rate 0, a D its modality disagrees with, a NaN
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------- raw EEG files
@@ -89,7 +92,10 @@ def read_eeg(path: Path | str) -> SignalRecord:
     if channels == 0 or len(payload) % (4 * channels):
         raise FormatError(f"{path}: payload is not a whole number of {channels}-channel samples")
     samples = np.frombuffer(payload, dtype="<f4").reshape(channels, -1)
-    return SignalRecord(rate, samples, default_channel_labels(channels))
+    try:
+        return SignalRecord(rate, samples, default_channel_labels(channels))
+    except InputError as exc:  # e.g. rate 0
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------------ WAV audio
@@ -120,7 +126,10 @@ def read_wav(path: Path | str) -> SignalRecord:
     if len(raw) != 2 * n_frames:
         raise FormatError(f"{path}: truncated audio ({n_frames} frames claimed)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-    return SignalRecord(rate, samples[None, :], ("mono",))
+    try:
+        return SignalRecord(rate, samples[None, :], ("mono",))
+    except InputError as exc:  # e.g. rate 0
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------------ manifests

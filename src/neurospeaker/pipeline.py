@@ -39,7 +39,6 @@ class DspConfig:
     notch_hz: float = 60.0
     notch_q: float = 30.0
     frame_length: int = 100
-    hop_length: int = 10
 
     def __post_init__(self):
         if not 0 < self.bandpass_low_hz < self.bandpass_high_hz:
@@ -49,11 +48,6 @@ class DspConfig:
             )
         if self.notch_hz <= 0 or self.notch_q <= 0:
             raise InputError("notch frequency and quality must be positive")
-        self.frame_spec  # validates frame/hop relationship
-
-    @property
-    def frame_spec(self) -> dsp.FrameSpec:
-        return dsp.FrameSpec(self.frame_length, self.hop_length)
 
 
 @dataclass
@@ -66,7 +60,6 @@ class IcaConfig:
 @dataclass
 class KpcaConfig:
     kernel: kpca.KernelSpec = field(default_factory=kpca.KernelSpec)
-    n_components: int = 30
     max_fit_frames: int = 2000
 
 
@@ -77,9 +70,6 @@ class TrainConfig:
 
     epochs: int | None = None
     batch_size: int = 100
-    validation_fraction: float = 0.1
-    carve_validation_from_train: bool = False
-    modality: Modality = Modality.FUSED43
     seed: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -88,15 +78,10 @@ class TrainConfig:
     tcn_filters: int = 128
     tcn_width: int = 3
     gru_hidden: int = 128
-    normalize: bool = True
 
     def __post_init__(self):
         if self.epochs is not None and self.epochs <= 0:
             raise InputError(f"epochs must be positive, got {self.epochs}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise InputError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
-            )
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -126,39 +111,20 @@ class EvalReport:
 class TrainResult:
     params: nn.ClassifierParams
     curves: list[tuple[int, float, float]]
-    stats: FeatureStats | None
+    stats: FeatureStats
 
 
-def check_dimension_contracts(
-    n_speakers: int,
-    kpca_components: int = 30,
-    mfcc_dim: int = 13,
-) -> None:
+def check_dimension_contracts(n_speakers: int) -> None:
     """The arithmetic the whole pipeline is built on; asserted on every run."""
     if EEG_CHANNELS * EEG_FEATURES_PER_CHANNEL != Modality.EEG155.dim:
         raise DimensionError(
             f"{EEG_CHANNELS} channels x {EEG_FEATURES_PER_CHANNEL} features "
             f"!= {Modality.EEG155.dim}"
         )
-    if kpca_components != Modality.EEG30.dim:
-        raise DimensionError(f"KPCA must emit {Modality.EEG30.dim} dims, got {kpca_components}")
-    if mfcc_dim != Modality.MFCC13.dim:
-        raise DimensionError(f"MFCC must emit {Modality.MFCC13.dim} dims, got {mfcc_dim}")
     if Modality.MFCC13.dim + Modality.EEG30.dim != Modality.FUSED43.dim:
         raise DimensionError("fusion dims are inconsistent")
     if n_speakers < 2:
         raise DimensionError(f"need at least 2 speakers, got {n_speakers}")
-
-
-def _check_split_isolation(dataset: LabeledDataset) -> None:
-    seen: dict[str, str] = {}
-    for (seq, _), tag in zip(dataset.items, dataset.partition):
-        if seq.utterance_id in seen and seen[seq.utterance_id] != tag:
-            raise InputError(
-                f"utterance {seq.utterance_id!r} appears in partitions "
-                f"{seen[seq.utterance_id]!r} and {tag!r}"
-            )
-        seen[seq.utterance_id] = tag
 
 
 def preprocess_eeg(
@@ -170,10 +136,18 @@ def preprocess_eeg(
     """Band-pass, notch, and ICA artifact removal per utterance.
 
     Returns cleaned utterances plus artifact-report rows for the audit log.
+    Every recording must share the first one's sample rate, which the filters
+    are designed for.
     """
     if not utterances:
         raise InputError("no utterances to preprocess")
     rate = utterances[0].eeg.sample_rate_hz
+    for utt in utterances:
+        if utt.eeg.sample_rate_hz != rate:
+            raise InputError(
+                f"utterance {utt.utterance_id!r} has {utt.eeg.sample_rate_hz:g} Hz EEG, "
+                f"not the {rate:g} Hz of {utterances[0].utterance_id!r}"
+            )
     bandpass = dsp.design_bandpass(
         config.bandpass_order, config.bandpass_low_hz, config.bandpass_high_hz, rate
     )
@@ -208,7 +182,7 @@ def extract_features(
     for utt in utterances:
         mfcc = extract_mfcc(utt.audio, mfcc_config, utterance_id=utt.utterance_id)
         eeg155 = extract_eeg_features(
-            utt.eeg, dsp_config.frame_spec, utterance_id=utt.utterance_id
+            utt.eeg, dsp_config.frame_length, utterance_id=utt.utterance_id
         )
         features[utt.utterance_id] = {"mfcc13": mfcc, "eeg155": eeg155}
     return features
@@ -235,7 +209,7 @@ def reduce_eeg(
         rng = derive_rng(seed, "kpca.subsample")
         pick = np.sort(rng.choice(pooled.shape[0], size=config.max_fit_frames, replace=False))
         pooled = pooled[pick]
-    model = kpca.fit_kpca(pooled, config.kernel, config.n_components)
+    model = kpca.fit_kpca(pooled, config.kernel, Modality.EEG30.dim)
     for utt_id, streams in features.items():
         normalized = normalize_features(stats, streams["eeg155"])
         reduced = kpca.transform_frames(model, normalized.frames.astype(np.float64))
@@ -285,13 +259,11 @@ def assemble_dataset(
     partition = split_utterances(features, speakers, seed)
     ids = sorted(features)
     items = [(modality_sequence(features[i], modality), speakers[i]) for i in ids]
-    dataset = LabeledDataset(
+    return LabeledDataset(
         items=items,
         n_speakers=max(label for _, label in items) + 1,
         partition=tuple(partition[i] for i in ids),
     )
-    _check_split_isolation(dataset)
-    return dataset
 
 
 def predict(
@@ -319,39 +291,20 @@ def _labels(items: list[tuple[FeatureSequence, int]]) -> np.ndarray:
 def train(
     dataset: LabeledDataset, config: TrainConfig = TrainConfig()
 ) -> TrainResult:
-    """Mini-batch Adam training with per-epoch train/validation accuracy curves.
+    """Mini-batch Adam training on the dataset's own modality, with per-epoch
+    train/validation accuracy curves over its validation partition.
 
-    The validation curve uses the dataset's reserved validation partition by
-    default; ``carve_validation_from_train`` instead carves
-    ``validation_fraction`` off the shuffled training items.
+    Features are z-scored with the training partition's statistics, which
+    the result carries for evaluation.
     """
     check_dimension_contracts(dataset.n_speakers)
-    _check_split_isolation(dataset)
     train_items = dataset.subset("train")
     if not train_items:
         raise InputError("dataset has no training items")
-    val_items = dataset.subset("val")
-
-    if config.carve_validation_from_train:
-        rng_carve = derive_rng(config.seed, "train.carve")
-        order = rng_carve.permutation(len(train_items))
-        n_val = max(1, int(round(config.validation_fraction * len(train_items))))
-        val_items = [train_items[i] for i in order[:n_val]]
-        train_items = [train_items[i] for i in order[n_val:]]
-        if not train_items:
-            raise InputError("validation carve-out consumed every training item")
-
     modality = train_items[0][0].modality
-    if modality is not config.modality:
-        raise DimensionError(
-            f"dataset modality {modality.name} != configured {config.modality.name}"
-        )
-
-    stats = None
-    if config.normalize:
-        stats = compute_feature_stats([s for s, _ in train_items])
-        train_items = [(normalize_features(stats, s), y) for s, y in train_items]
-        val_items = [(normalize_features(stats, s), y) for s, y in val_items]
+    stats = compute_feature_stats([s for s, _ in train_items])
+    train_items = [(normalize_features(stats, s), y) for s, y in train_items]
+    val_items = [(normalize_features(stats, s), y) for s, y in dataset.subset("val")]
 
     rng_init = derive_rng(config.seed, "train.init")
     params = nn.init_classifier(
@@ -456,7 +409,7 @@ def run_experiment(
     Mirrors the published comparison: a three-column table of test accuracy
     for MFCC-only, EEG-only, and fused features.
     """
-    check_dimension_contracts(spec.n_speakers, kpca_config.n_components)
+    check_dimension_contracts(spec.n_speakers)
     if utterances is None:
         utterances = generate_synthetic(spec)
     speakers = {u.utterance_id: u.speaker for u in utterances}
@@ -471,8 +424,7 @@ def run_experiment(
     accuracies: dict[str, float] = {}
     for modality in modalities:
         dataset = assemble_dataset(features, speakers, modality, config.seed)
-        run_config = replace(config, modality=modality)
-        result = train(dataset, run_config)
+        result = train(dataset, config)
         report = evaluate(result.params, dataset, result.stats, result.curves)
         reports[modality] = report
         results[modality] = result

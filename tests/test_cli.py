@@ -11,7 +11,7 @@ from neurospeaker.cli import FEATURE_COLUMNS, main
 from neurospeaker.core import make_rng
 from neurospeaker.features import Modality
 
-from test_fileio import BAD_TENSORS, write_bad_checkpoint
+from test_fileio import BAD_HEADER_VALUES, BAD_TENSORS, patch_bytes, write_bad_checkpoint
 
 TINY = [
     "--set", "synth.utterances_per_speaker=3",
@@ -132,6 +132,50 @@ class TestStages:
         code = main(["train", "--features", str(broken), "--out", str(tmp_path / "run"),
                      "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"])
         assert code == 2
+
+    @pytest.mark.parametrize("kind, offset, new", BAD_HEADER_VALUES.values(), ids=list(BAD_HEADER_VALUES))
+    def test_stage_on_bad_header_value_exits_2(self, staged, tmp_path, kind, offset, new):
+        """preprocess reads .eeg and .wav files, train reads .fseq files."""
+        _, corpus, _, feats = staged
+        if kind == "fseq":
+            broken = tmp_path / "feats"
+            shutil.copytree(feats, broken)
+            patch_bytes(sorted((broken / "mfcc13").glob("*.fseq"))[0], offset, new)
+            argv = ["train", "--features", str(broken), "--out", str(tmp_path / "run"),
+                    "--modality", "MFCC13", "--set", "train.epochs=1"]
+        else:
+            broken = tmp_path / "corpus"
+            shutil.copytree(corpus, broken)
+            folder = "eeg" if kind == "eeg" else "audio"
+            patch_bytes(sorted((broken / folder).glob(f"*.{kind}"))[0], offset, new)
+            argv = ["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean")]
+        assert main([*argv, "--seed", "21", *TINY]) == 2
+
+    def test_preprocess_on_mixed_sample_rates_exits_3(self, staged, tmp_path, capsys):
+        _, corpus, _, _ = staged
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        patch_bytes(broken / "eeg" / "utt0005.eeg", 8, struct.pack("<I", 500))
+        code = main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY])
+        assert code == 3
+        assert "'utt0005' has 500 Hz EEG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modality", ["bogus", "eeg155"])
+    def test_train_with_untrainable_modality_exits_1(self, staged, tmp_path, capsys, modality):
+        _, _, _, feats = staged
+        code = main(["train", "--features", str(feats), "--out", str(tmp_path / "run"),
+                     "--modality", modality, "--set", "train.epochs=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+
+    def test_train_modality_is_case_insensitive_and_defaults_to_fused43(self, staged, tmp_path, capsys):
+        _, _, _, feats = staged
+        for flags in (["--modality", "eeg30"], []):
+            assert main(["train", "--features", str(feats), "--out", str(tmp_path / "run"),
+                         *flags, "--seed", "21", "--set", "train.epochs=1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in out] == ["EEG30", "FUSED43"]
 
     @pytest.mark.parametrize("name, array", BAD_TENSORS, ids=[name for name, _ in BAD_TENSORS])
     def test_eval_checkpoint_with_misshapen_tensor_exits_2(self, staged, tmp_path, name, array):

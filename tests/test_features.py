@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
-from neurospeaker.dsp import FrameSpec
 from neurospeaker.errors import AlignmentError, DimensionError, InputError
 from neurospeaker.features import (
     FeatureSequence,
@@ -68,7 +67,7 @@ class TestExtractEegFeatures:
 
     def test_shape_for_one_second(self):
         x = make_rng(0).standard_normal((31, 1000))
-        seq = extract_eeg_features(self._record(x), FrameSpec(100, 10))
+        seq = extract_eeg_features(self._record(x), 100)
         assert seq.frames.shape == (91, 155)
         assert seq.modality is Modality.EEG155
 
@@ -83,9 +82,19 @@ class TestExtractEegFeatures:
         expected = np.tile([0.0, 0.0, 0.0, 0.0, 0.0], 31)
         np.testing.assert_array_equal(seq.frames, np.tile(expected, (91, 1)))
 
+    def test_hop_follows_the_sample_rate(self):
+        """100 Hz frames: hop 5 at 500 Hz; 250 Hz has no whole-sample hop."""
+        x = make_rng(2).standard_normal((31, 500))
+        seq = extract_eeg_features(SignalRecord(500.0, x, default_channel_labels(31)), 50)
+        assert seq.frames.shape == (1 + (500 - 50) // 5, 155)
+        assert seq.rate_hz == 100
+        np.testing.assert_allclose(seq.frames[3, :5], eeg_frame_features(x[0, 15:65]), rtol=1e-6)
+        with pytest.raises(InputError, match="250"):
+            extract_eeg_features(SignalRecord(250.0, x, default_channel_labels(31)), 50)
+
     def test_matches_per_frame_operation(self):
         x = make_rng(5).standard_normal((31, 300))
-        seq = extract_eeg_features(self._record(x), FrameSpec(100, 10))
+        seq = extract_eeg_features(self._record(x), 100)
         # spot-check one frame/channel against the public per-frame op
         frame = x[7, 50:150]
         expected = eeg_frame_features(frame)

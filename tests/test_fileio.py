@@ -30,6 +30,91 @@ def write_bad_checkpoint(path, name, array):
             fileio._write_tensor(fh, tensor_name, arr)
 
 
+# Header values a corrupt file can carry that the record itself rejects:
+# (file kind, byte offset, replacement bytes).
+BAD_HEADER_VALUES = {
+    "eeg rate 0": ("eeg", 8, struct.pack("<I", 0)),
+    "fseq rate 0": ("fseq", 7, struct.pack("<H", 0)),
+    "fseq D disagrees with modality": ("fseq", 6, bytes([int(Modality.EEG30)])),  # D stays 13
+    "wav rate 0": ("wav", 24, struct.pack("<I", 0)),
+}
+READERS = {"eeg": fileio.read_eeg, "fseq": fileio.read_fseq, "wav": fileio.read_wav}
+
+
+def patch_bytes(path, offset, new):
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + len(new)] = new
+    path.write_bytes(bytes(raw))
+
+
+def write_sample(path, kind):
+    """A small valid file of ``kind``: 31-channel EEG, MFCC13 frames or 16 kHz audio."""
+    rng = make_rng(3)
+    if kind == "eeg":
+        fileio.write_eeg(path, SignalRecord(1000, rng.standard_normal((31, 20)), default_channel_labels(31)))
+    elif kind == "fseq":
+        fileio.write_fseq(path, FeatureSequence(rng.standard_normal((4, 13)), 100, Modality.MFCC13, "u"))
+    else:
+        fileio.write_wav(path, SignalRecord(16000, 0.1 * rng.standard_normal((1, 50)), ("mono",)))
+
+
+@pytest.mark.parametrize("kind, offset, new", BAD_HEADER_VALUES.values(), ids=list(BAD_HEADER_VALUES))
+def test_header_value_the_record_rejects_is_a_format_error(tmp_path, kind, offset, new):
+    path = tmp_path / f"x.{kind}"
+    write_sample(path, kind)
+    READERS[kind](path)  # the undamaged file reads
+    patch_bytes(path, offset, new)
+    with pytest.raises(FormatError):
+        READERS[kind](path)
+
+
+@pytest.fixture(scope="module")
+def samples(tmp_path_factory):
+    """Files small enough that a drawn byte position lands in the header
+    often; 512 Hz has one non-zero rate byte, so one flip can zero the rate."""
+    root = tmp_path_factory.mktemp("samples")
+    rng = make_rng(4)
+    paths = {kind: root / f"sample.{kind}" for kind in ("eeg", "fseq")}
+    fileio.write_eeg(paths["eeg"], SignalRecord(512, rng.standard_normal((2, 3)), ("a", "b")))
+    fileio.write_fseq(paths["fseq"], FeatureSequence(rng.standard_normal((1, 13)), 100, Modality.MFCC13, "u"))
+    return paths
+
+
+def _corrupt(data, raw: bytes) -> bytes:
+    """``raw`` cut short or with one byte flipped."""
+    raw = bytearray(raw)
+    position = data.draw(st.integers(0, len(raw) - 1), label="position")
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(raw[:position])
+    raw[position] ^= data.draw(st.integers(1, 255), label="xor")
+    return bytes(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_corrupt_eeg_rejected_or_valid(samples, data):
+    path = samples["eeg"].with_name("corrupt.eeg")
+    path.write_bytes(_corrupt(data, samples["eeg"].read_bytes()))
+    try:
+        record = fileio.read_eeg(path)
+    except FormatError:
+        return
+    assert record.sample_rate_hz > 0 and record.channels > 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_corrupt_fseq_rejected_or_valid(samples, data):
+    path = samples["fseq"].with_name("corrupt.fseq")
+    path.write_bytes(_corrupt(data, samples["fseq"].read_bytes()))
+    try:
+        seq = fileio.read_fseq(path)
+    except FormatError:
+        return
+    assert seq.rate_hz > 0 and seq.dim == seq.modality.dim
+    assert np.all(np.isfinite(seq.frames))
+
+
 class TestFseq:
     def test_round_trip(self, tmp_path):
         frames = make_rng(0).standard_normal((17, 13)).astype(np.float32)
@@ -260,14 +345,8 @@ def small_checkpoint(tmp_path_factory):
 def test_corrupt_checkpoint_rejected_or_usable(small_checkpoint, data):
     """A checkpoint cut short or with one byte flipped either fails as a
     format error or yields weights the classifier runs on."""
-    raw = bytearray(small_checkpoint.read_bytes())
-    position = data.draw(st.integers(0, len(raw) - 1), label="position")
-    if data.draw(st.booleans(), label="truncate"):
-        raw = raw[:position]
-    else:
-        raw[position] ^= data.draw(st.integers(1, 255), label="xor")
     path = small_checkpoint.with_name("corrupt.nspk")
-    path.write_bytes(bytes(raw))
+    path.write_bytes(_corrupt(data, small_checkpoint.read_bytes()))
     try:
         params, _, header = fileio.read_checkpoint(path)
     except FormatError:
