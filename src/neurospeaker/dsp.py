@@ -3,7 +3,10 @@
 Designs are built from first principles: analog Butterworth prototype,
 low-pass-to-band-pass transform, bilinear mapping with frequency pre-warping,
 and pairing into stable second-order sections. Application is causal
-(single-pass, transposed direct form II).
+(single-pass, transposed direct form II) and row-wise: a block of rows (the
+channels of one or of several equal-length recordings) is filtered
+time-major, one contiguous time step of every row at a time, and each row's
+output is the same as if it were filtered alone.
 """
 from __future__ import annotations
 
@@ -195,23 +198,39 @@ def design_notch(
 
 
 def apply_filter_block(cascade: BiquadCascade, block: np.ndarray) -> np.ndarray:
-    """Causal filtering of each row of ``block`` (rows x time), zero initial state."""
-    y = np.asarray(block, dtype=np.float64).copy()
-    if y.ndim != 2 or y.shape[1] == 0:
+    """Causal filtering of each row of ``block`` (rows x time), zero initial state.
+
+    The recursion runs over a time-major (time x rows) copy, filtered in
+    place: each step reads and writes one contiguous row of it, and the state
+    buffers are reused. Every sample takes the same operations in the same
+    order as the textbook form, so a row's output does not depend on which
+    other rows share the block.
+    """
+    x = np.asarray(block, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
         raise InputError("block must be a non-empty 2-D (rows x time) array")
-    n_rows, n_samples = y.shape
+    y = x.T.copy()  # (time, rows), C-contiguous
+    n_rows = y.shape[1]
+    s1, s2 = np.empty(n_rows), np.empty(n_rows)
+    p, q, r = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
     for s in cascade.sections:
-        s1 = np.zeros(n_rows)
-        s2 = np.zeros(n_rows)
-        x = y
-        y = np.empty_like(x)
-        for t in range(n_samples):
-            xn = x[:, t]
-            yn = s.b0 * xn + s1
-            s1 = s.b1 * xn - s.a1 * yn + s2
-            s2 = s.b2 * xn - s.a2 * yn
-            y[:, t] = yn
-    return y
+        b0, b1, b2, a1, a2 = s.b0, s.b1, s.b2, s.a1, s.a2
+        s1.fill(0.0)
+        s2.fill(0.0)
+        for yn in y:  # yn holds x[t] on entry and y[t] on exit
+            # s1' = (b1*x - a1*y) + s2 and s2' = b2*x - a2*y, with y = b0*x + s1
+            np.multiply(yn, b1, out=p)
+            np.multiply(yn, b2, out=q)
+            yn *= b0
+            yn += s1
+            np.multiply(yn, a1, out=r)
+            p -= r
+            p += s2
+            np.multiply(yn, a2, out=r)
+            q -= r
+            s1, p = p, s1
+            s2, q = q, s2
+    return np.ascontiguousarray(y.T)
 
 
 def apply_filter(cascade: BiquadCascade, signal: SignalRecord) -> SignalRecord:

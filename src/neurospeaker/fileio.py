@@ -123,6 +123,8 @@ def read_wav(path: Path | str) -> SignalRecord:
             raw = fh.readframes(n_frames)
     except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside a header
         raise FormatError(f"{path}: not a WAV file ({str(exc) or 'ends inside a header'})") from exc
+    except RuntimeError as exc:  # raised bare by the wave module's chunk reader
+        raise FormatError(f"{path}: not a WAV file (a chunk runs past the end of the RIFF chunk)") from exc
     if len(raw) != 2 * n_frames:
         raise FormatError(f"{path}: truncated audio ({n_frames} frames claimed)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
@@ -155,14 +157,18 @@ def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != columns:
-        raise FormatError(f"{path}: columns {reader.fieldnames} != {list(columns)}")
-    rows = []
-    for row in reader:
-        # DictReader fills missing fields with None and keys extra ones by None.
-        if None in row or None in row.values():
-            raise FormatError(f"{path}: line {reader.line_num} needs {len(columns)} fields")
-        rows.append(row)
+    try:
+        if reader.fieldnames is None or tuple(reader.fieldnames) != columns:
+            raise FormatError(f"{path}: columns {reader.fieldnames} != {list(columns)}")
+        rows = []
+        for row in reader:
+            # DictReader fills missing fields with None and keys extra ones by None.
+            if None in row or None in row.values():
+                raise FormatError(f"{path}: line {reader.line_num} needs {len(columns)} fields")
+            rows.append(row)
+    except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+        # line_num counts the lines read before the record that failed
+        raise FormatError(f"{path}: line {reader.line_num + 1}: {exc}") from exc
     return rows
 
 

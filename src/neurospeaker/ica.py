@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import SignalRecord
 from .errors import DegenerateInputError, InputError, NumericError
+from .features import excess_kurtosis
 
 RANK_TOL = 1e-10  # relative eigenvalue floor for the covariance
 
@@ -216,12 +217,7 @@ def score_and_reject(
     s = components.samples
     mean = s.mean(axis=1, keepdims=True)
     centered = s - mean
-    var = np.mean(centered**2, axis=1)
-    live = var > 1e-30
-    m4 = np.mean(centered**4, axis=1)
-    kurt = np.zeros_like(var)
-    np.divide(m4, var * var, out=kurt, where=live)
-    kurt = np.where(live, kurt - 3.0, 0.0)
+    var, live, kurt = excess_kurtosis(centered)
 
     psd = np.abs(np.fft.rfft(s, axis=1)) ** 2
     freqs = np.fft.rfftfreq(s.shape[1], d=1.0 / components.sample_rate_hz)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import shutil
 import struct
@@ -228,6 +229,33 @@ class TestStages:
             lines[1] = lines[1].rsplit(",", 1)[0]
             manifest.write_text("\n".join(lines) + "\n")
         assert main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY]) == 2
+
+    def test_preprocess_on_wav_with_bad_chunk_size_exits_2(self, staged, tmp_path, capsys):
+        """An odd fmt chunk size: the ``wave`` module raises a bare RuntimeError."""
+        _, corpus, _, _ = staged
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        victim = sorted((broken / "audio").glob("*.wav"))[0]
+        patch_bytes(victim, 16, bytes([victim.read_bytes()[16] ^ 1]))
+        assert main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY]) == 2
+        assert "RIFF chunk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["manifest.csv", "features.csv"])
+    def test_stage_on_index_field_beyond_csv_limit_exits_2(self, staged, tmp_path, index):
+        _, corpus, _, feats = staged
+        source = corpus if index == "manifest.csv" else feats
+        broken = tmp_path / "in"
+        shutil.copytree(source, broken)
+        lines = (broken / index).read_text().splitlines()
+        utt, _, rest = lines[1].partition(",")
+        lines[1] = ",".join([utt, "x" * (csv.field_size_limit() + 1), rest.partition(",")[2]])
+        (broken / index).write_text("\n".join(lines) + "\n")
+        if index == "manifest.csv":
+            argv = ["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean")]
+        else:
+            argv = ["train", "--features", str(broken), "--out", str(tmp_path / "run"),
+                    "--modality", "MFCC13", "--set", "train.epochs=1"]
+        assert main([*argv, "--seed", "21", *TINY]) == 2
 
     def test_train_without_kpca_stage_exits_3(self, tmp_path):
         corpus, clean, feats = tmp_path / "c", tmp_path / "cl", tmp_path / "f"

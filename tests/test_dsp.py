@@ -171,6 +171,26 @@ class TestScipyOracle:
         np.testing.assert_allclose(cascade.response(freqs, FS), expected, rtol=0, atol=1e-11)
 
 
+@pytest.mark.parametrize("design", SCIPY_CASES.values(), ids=SCIPY_CASES.keys())
+def test_stacked_block_equals_per_record_filtering(design):
+    """Rows do not interact: filtering records stacked in one block gives
+    each record's own filtered bits, whatever its neighbours."""
+    cascade = design()
+    rng = make_rng(41)
+    records = [rng.standard_normal((n, 700)) * scale for n, scale in ((31, 1.0), (1, 1e-3), (5, 40.0))]
+    stacked = dsp.apply_filter_block(cascade, np.concatenate(records))
+    expected = np.concatenate([dsp.apply_filter_block(cascade, r) for r in records])
+    np.testing.assert_array_equal(stacked, expected)
+    assert stacked.flags.c_contiguous
+
+
+def test_apply_filter_block_leaves_its_input_alone():
+    block = make_rng(42).standard_normal((1, 300))
+    before = block.copy()
+    dsp.apply_filter_block(dsp.design_bandpass(4, 0.1, 70.0, FS), block)
+    np.testing.assert_array_equal(block, before)
+
+
 class TestFraming:
     def _record(self, n, channels=1):
         return SignalRecord(

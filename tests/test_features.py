@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
 from neurospeaker.errors import AlignmentError, DimensionError, InputError
@@ -13,6 +14,7 @@ from neurospeaker.features import (
     MfccConfig,
     compute_feature_stats,
     eeg_frame_features,
+    excess_kurtosis,
     extract_eeg_features,
     extract_mfcc,
     fuse,
@@ -59,6 +61,38 @@ class TestEegFrameFeatures:
     def test_too_short_frame_rejected(self):
         with pytest.raises(InputError):
             eeg_frame_features(np.array([1.0]))
+
+
+KURTOSIS_SAMPLES = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    "laplace": lambda rng, n: rng.laplace(size=n),
+    "sparse spikes": lambda rng, n: 50.0 * (rng.uniform(size=n) < 0.02) + 1e-3 * rng.standard_normal(n),
+    "offset sinusoid": lambda rng, n: 7.0 + np.sin(np.arange(n) * 0.37),
+}
+
+
+class TestExcessKurtosis:
+    """The one kurtosis both the EEG features and ICA scoring use, against
+    scipy's population (biased) Fisher kurtosis."""
+
+    @pytest.mark.parametrize("draw", KURTOSIS_SAMPLES.values(), ids=KURTOSIS_SAMPLES.keys())
+    def test_frame_feature_matches_scipy(self, draw):
+        frame = draw(make_rng(5), 100)
+        expected = stats.kurtosis(frame, fisher=True, bias=True)
+        np.testing.assert_allclose(eeg_frame_features(frame)[3], expected, rtol=1e-12)
+
+    def test_helper_matches_scipy_along_the_last_axis(self):
+        x = make_rng(6).laplace(size=(3, 4, 250))
+        var, live, kurt = excess_kurtosis(x - x.mean(axis=-1, keepdims=True))
+        np.testing.assert_allclose(kurt, stats.kurtosis(x, axis=-1, fisher=True, bias=True), rtol=1e-12)
+        np.testing.assert_allclose(var, x.var(axis=-1), rtol=1e-12)
+        assert live.all()
+
+    def test_constant_rows_have_zero_kurtosis(self):
+        var, live, kurt = excess_kurtosis(np.zeros((2, 50)))
+        assert not live.any()
+        np.testing.assert_array_equal(kurt, 0.0)
 
 
 class TestExtractEegFeatures:

@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurospeaker import fileio, nn
+from neurospeaker.cli import FEATURE_COLUMNS
 from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
 from neurospeaker.errors import FormatError
 from neurospeaker.features import FeatureSequence, Modality
@@ -113,6 +115,90 @@ def test_corrupt_fseq_rejected_or_valid(samples, data):
         return
     assert seq.rate_hz > 0 and seq.dim == seq.modality.dim
     assert np.all(np.isfinite(seq.frames))
+
+
+@pytest.fixture(scope="module")
+def wav_sample(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wav") / "sample.wav"
+    write_sample(path, "wav")
+    return path
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_corrupt_wav_rejected_or_valid(wav_sample, data):
+    path = wav_sample.with_name("corrupt.wav")
+    path.write_bytes(_corrupt(data, wav_sample.read_bytes()))
+    try:
+        record = fileio.read_wav(path)
+    except FormatError:
+        return
+    assert record.sample_rate_hz > 0 and record.channels == 1
+
+
+def test_wav_chunk_size_past_the_riff_chunk_rejected(wav_sample, tmp_path):
+    """An odd fmt chunk size makes the ``wave`` module seek past the RIFF
+    chunk, which it reports as a bare RuntimeError."""
+    path = tmp_path / "a.wav"
+    raw = bytearray(wav_sample.read_bytes())
+    raw[16] ^= 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="past the end of the RIFF chunk"):
+        fileio.read_wav(path)
+
+
+INDEXES = {
+    "manifest": (fileio.MANIFEST_COLUMNS, ("u0", "spk0", "audio/u0.wav", "eeg/u0.eeg")),
+    "features": (FEATURE_COLUMNS, ("u0", "spk0", "mfcc13/u0.fseq", "eeg155/u0.fseq", "eeg30/u0.fseq")),
+}
+
+
+def write_index(path, columns, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _read_index_or_reject(path, columns):
+    """Rows with exactly the index's columns, or None for a FormatError."""
+    try:
+        rows = fileio.read_index(path, columns)
+    except FormatError:
+        return None
+    assert all(tuple(row) == columns and all(isinstance(v, str) for v in row.values()) for row in rows)
+    return rows
+
+
+@pytest.mark.parametrize("kind", INDEXES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_index_rejected_or_valid(tmp_path_factory, kind, data):
+    columns, row = INDEXES[kind]
+    path = tmp_path_factory.mktemp("index") / f"{kind}.csv"
+    write_index(path, columns, [row, row])
+    path.write_bytes(_corrupt(data, path.read_bytes()))
+    _read_index_or_reject(path, columns)
+
+
+@pytest.mark.parametrize("kind", INDEXES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_index_with_arbitrary_text_rows_rejected_or_valid(tmp_path_factory, kind, data):
+    columns, _ = INDEXES[kind]
+    lines = data.draw(st.lists(st.text(max_size=40), max_size=4), label="lines")
+    path = tmp_path_factory.mktemp("index") / f"{kind}.csv"
+    path.write_text(",".join(columns) + "\n" + "\n".join(lines), encoding="utf-8")
+    _read_index_or_reject(path, columns)
+
+
+@pytest.mark.parametrize("kind", INDEXES)
+def test_index_field_beyond_the_csv_field_limit_rejected(tmp_path, kind):
+    columns, row = INDEXES[kind]
+    path = tmp_path / f"{kind}.csv"
+    write_index(path, columns, [(row[0], "x" * (csv.field_size_limit() + 1), *row[2:])])
+    with pytest.raises(FormatError, match="line 2"):
+        fileio.read_index(path, columns)
 
 
 class TestFseq:

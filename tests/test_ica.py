@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.optimize import linear_sum_assignment
 from scipy.signal import sawtooth
 
@@ -176,6 +177,23 @@ class TestScoring:
         rng = make_rng(3)
         report = self._report(rng.standard_normal((3, 2000)))
         assert [row[0] for row in report.rows()] == [0, 1, 2]
+
+
+def test_scored_kurtosis_matches_scipy():
+    rng = make_rng(8)
+    n = 3000
+    components = np.stack([
+        rng.standard_normal(n),
+        rng.laplace(size=n),
+        rng.uniform(-1.0, 1.0, n),
+        30.0 * (rng.uniform(size=n) < 0.01) + 0.1 * rng.standard_normal(n),
+    ])
+    comps = record(components)
+    eye = np.eye(comps.channels)
+    model = ica.IcaModel(eye, eye, np.zeros(comps.channels), comps.channels, unmixing_matrix=eye)
+    report = ica.score_and_reject(model, comps)
+    expected = stats.kurtosis(components, axis=1, fisher=True, bias=True)
+    np.testing.assert_allclose(report.kurtosis, expected, rtol=1e-12)
 
 
 class TestReconstruct:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from neurospeaker import nn, pipeline
+from neurospeaker import dsp, nn, pipeline
 from neurospeaker.core import make_rng
 from neurospeaker.errors import DimensionError, InputError
 from neurospeaker.features import FeatureSequence, Modality, compute_feature_stats
@@ -38,6 +40,41 @@ class TestPreprocess:
     def test_report_covers_every_component(self, small_corpus):
         utts, _, _, _, rows = small_corpus
         assert len(rows) == len(utts) * 31
+
+
+class TestBlockFiltering:
+    def test_blocks_equal_single_utterance_runs(self, monkeypatch):
+        """A mixed-length corpus with more rows of one length than a block
+        holds: every cleaned record and report row equals its own
+        single-utterance run, in corpus order."""
+        long = generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=18, duration_s=0.3, seed=4))
+        short = generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=2, duration_s=0.25, seed=5))
+        short = [replace(u, utterance_id=f"short{u.utterance_id}") for u in short]
+        corpus = long[:3] + short[:2] + long[3:] + short[2:]
+        assert sum(u.eeg.channels for u in long) > pipeline.FILTER_BLOCK_ROWS
+
+        rows_filtered = []
+        apply_filter = dsp.apply_filter
+
+        def spy(cascade, signal):
+            rows_filtered.append(signal.channels)
+            return apply_filter(cascade, signal)
+
+        monkeypatch.setattr(dsp, "apply_filter", spy)
+        cleaned, report_rows = pipeline.preprocess_eeg(corpus, seed=4)
+        # band-pass and notch per block: two blocks of 0.3 s records, one of 0.25 s
+        assert len(rows_filtered) == 6
+        assert max(rows_filtered) <= pipeline.FILTER_BLOCK_ROWS
+        assert sum(rows_filtered) == 2 * sum(u.eeg.channels for u in corpus)
+
+        expected_rows = []
+        for utt, clean in zip(corpus, cleaned, strict=True):
+            (alone,), rows = pipeline.preprocess_eeg([utt], seed=4)
+            assert clean.utterance_id == utt.utterance_id
+            assert clean.eeg.channel_labels == alone.eeg.channel_labels
+            np.testing.assert_array_equal(clean.eeg.samples, alone.eeg.samples)
+            expected_rows += rows
+        assert report_rows == expected_rows
 
 
 class TestFeatureStage:
