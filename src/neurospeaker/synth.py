@@ -5,6 +5,9 @@ Stands in for private human recordings: each speaker gets a signature
 distance from the shared base grows with ``separability``. At separability 0
 every speaker draws from the same distribution, so no classifier can beat
 chance by construction.
+
+scipy is loaded here only, by ``_resonate`` on the first synthesis, so
+importing the package or running any other command loads no scipy module.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import SignalRecord, default_channel_labels, derive_rng
 from .errors import InputError
@@ -76,10 +78,14 @@ class SpeakerProfiles:
     powerline_pattern: np.ndarray  # (channels,)
 
 
-def _resonator_coeffs(center_hz: float, bandwidth_hz: float, fs: float):
+def _resonate(x: np.ndarray, center_hz: float, bandwidth_hz: float, fs: float) -> np.ndarray:
+    """Two-pole resonator at ``center_hz`` over ``x``."""
+    # scipy.signal takes about 1 s to import; only corpus generation needs it.
+    from scipy.signal import lfilter
+
     r = math.exp(-math.pi * bandwidth_hz / fs)
     theta = 2.0 * math.pi * center_hz / fs
-    return np.array([1.0 - r]), np.array([1.0, -2.0 * r * math.cos(theta), r * r])
+    return lfilter(np.array([1.0 - r]), np.array([1.0, -2.0 * r * math.cos(theta), r * r]), x)
 
 
 def _pink_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -126,8 +132,7 @@ def _synth_audio(rng: np.random.Generator, spec: SynthSpec, formants: np.ndarray
     excitation = rng.standard_normal(n)
     voice = np.zeros(n)
     for f_hz, bw, gain in zip(formants, FORMANT_BANDWIDTHS_HZ, FORMANT_GAINS):
-        b, a = _resonator_coeffs(f_hz, bw, AUDIO_RATE_HZ)
-        voice += gain * lfilter(b, a, excitation)
+        voice += gain * _resonate(excitation, f_hz, bw, AUDIO_RATE_HZ)
     voice_rms = np.sqrt(np.mean(voice**2))
     voice = voice / max(voice_rms, 1e-30) * 0.1
     noise = rng.standard_normal(n)
@@ -150,8 +155,7 @@ def _synth_eeg(
     n_src = len(EEG_SOURCE_CENTERS_HZ)
     sources = np.empty((n_src, n))
     for i, (f_hz, bw) in enumerate(zip(EEG_SOURCE_CENTERS_HZ, EEG_SOURCE_BANDWIDTHS_HZ)):
-        b, a = _resonator_coeffs(f_hz, bw, EEG_RATE_HZ)
-        src = lfilter(b, a, rng.standard_normal(n))
+        src = _resonate(rng.standard_normal(n), f_hz, bw, EEG_RATE_HZ)
         sources[i] = src / max(np.sqrt(np.mean(src**2)), 1e-30)
     eeg = mixing @ (sources * gains[:, None])
     phase = rng.uniform(0.0, 2.0 * math.pi)

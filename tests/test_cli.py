@@ -1,12 +1,16 @@
 import csv
 import hashlib
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neurospeaker
 from neurospeaker import fileio, nn
 from neurospeaker.cli import FEATURE_COLUMNS, main
 from neurospeaker.core import make_rng
@@ -330,3 +334,18 @@ class TestExperimentCommand:
                 "--set", "features.mfcc_filters=40", "--set", "features.mfcc_preemphasis=0.5",
             ])
         assert [(c.n_filters, c.preemphasis) for c in seen] == [(40, 0.5)]
+
+
+class TestImportGraph:
+    def test_importing_the_cli_loads_no_scipy(self):
+        """Only corpus generation needs scipy; every other command starts without it."""
+        src = str(Path(neurospeaker.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, neurospeaker.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"

@@ -344,6 +344,33 @@ class TestBackward:
             np.testing.assert_allclose(g1[name], g2[name], atol=1e-12)
 
 
+class TestForwardOnly:
+    """An unlabelled pass stores no backward cache and predicts the same bits."""
+
+    @pytest.mark.parametrize("input_dim", [13, 30, 43])
+    def test_unlabelled_probs_equal_labelled(self, input_dim):
+        for batch in [*range(1, 34), 64, 100, 101]:
+            rng = make_rng(1000 * input_dim + batch)
+            params = nn.init_classifier(input_dim, 4, rng)
+            t = int(rng.integers(1, 60))
+            lengths = rng.integers(1, t + 1, size=batch)
+            lengths[0] = t
+            x = rng.standard_normal((batch, t, input_dim)).astype(np.float32)
+            labels = rng.integers(0, 4, size=batch)
+            unlabelled, _, _ = nn.forward_batch(params, x, lengths)
+            labelled, _, _ = nn.forward_batch(params, x, lengths, labels)
+            np.testing.assert_array_equal(unlabelled, labelled, err_msg=f"batch {batch}")
+
+    def test_unlabelled_pass_keeps_no_cache_and_cannot_backpropagate(self):
+        params = small_params(18)
+        x = make_rng(19).standard_normal((3, 6, 5))
+        _, loss, cache = nn.forward_batch(params, x, np.array([6, 2, 4]))
+        assert loss is None
+        assert cache.tcn_cache is None and cache.gru_cache is None
+        with pytest.raises(InputError):
+            nn.backward(cache, params)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = small_params(18)
