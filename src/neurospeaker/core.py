@@ -66,10 +66,6 @@ class SignalRecord:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
 
 def default_channel_labels(n: int, prefix: str = "ch") -> tuple[str, ...]:
     return tuple(f"{prefix}{i:02d}" for i in range(n))

@@ -93,7 +93,11 @@ def excess_kurtosis(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _feature_block(frames: np.ndarray) -> np.ndarray:
-    """Vectorized five-feature computation over (..., frame_length) windows."""
+    """[RMS, zero-crossing rate, moving-window average, excess kurtosis, spectral
+    entropy] of each (..., frame_length) window.
+
+    Zero-variance frames report kurtosis 0 and entropy 0 by convention.
+    """
     x = np.asarray(frames, dtype=np.float64)
     length = x.shape[-1]
     if length < 2:
@@ -127,17 +131,6 @@ def _feature_block(frames: np.ndarray) -> np.ndarray:
     entropy = np.where(live, entropy, 0.0)
 
     return np.stack([rms, zcr, mwa, kurtosis, entropy], axis=-1)
-
-
-def eeg_frame_features(frame: np.ndarray) -> np.ndarray:
-    """[RMS, zero-crossing rate, moving-window average, excess kurtosis, spectral entropy].
-
-    Zero-variance frames report kurtosis 0 and entropy 0 by convention.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1:
-        raise InputError("eeg_frame_features expects a 1-D frame")
-    return _feature_block(frame[np.newaxis, :])[0]
 
 
 def _feature_hop(sample_rate_hz: float) -> int:
@@ -183,16 +176,6 @@ class MfccConfig:
         return int(round(self.sample_rate_hz * self.window_ms / 1000.0))
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filters on the mel scale covering 0..Nyquist."""
-
-    n_filters: int
-    fft_size: int
-    sample_rate_hz: int
-    weights: np.ndarray  # (n_filters, fft_size // 2 + 1)
-
-
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -201,7 +184,8 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_filters: int, fft_size: int, sample_rate_hz: int) -> MelFilterbank:
+def mel_filterbank(n_filters: int, fft_size: int, sample_rate_hz: int) -> np.ndarray:
+    """(n_filters, fft_size // 2 + 1) triangular mel-scale filter weights over 0..Nyquist."""
     nyquist = sample_rate_hz / 2.0
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_filters + 2)
     hz_points = mel_to_hz(mel_points)
@@ -217,7 +201,7 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate_hz: int) -> MelFil
                 f"mel filter {i} is empty; fft_size {fft_size} too small "
                 f"for {n_filters} filters"
             )
-    return MelFilterbank(n_filters, fft_size, sample_rate_hz, weights)
+    return weights
 
 
 def _dct_matrix(n_coeffs: int, n_inputs: int) -> np.ndarray:
@@ -251,7 +235,7 @@ def extract_mfcc(
     hann = np.hanning(config.frame_length)
     power = np.abs(np.fft.rfft(windows * hann, n=config.fft_size, axis=-1)) ** 2
     bank = mel_filterbank(config.n_filters, config.fft_size, config.sample_rate_hz)
-    energies = power @ bank.weights.T
+    energies = power @ bank.T
     log_mel = np.log(np.maximum(energies, config.log_floor))
     coeffs = log_mel @ _dct_matrix(Modality.MFCC13.dim, config.n_filters).T
     return FeatureSequence(coeffs, FEATURE_RATE_HZ, Modality.MFCC13, utterance_id)

@@ -2,12 +2,13 @@
 
 Replaces an interactive component-selection workflow with a deterministic
 chain: eigenvalue whitening, symmetric fixed-point FastICA (log-cosh
-contrast), threshold-based component rejection, and inverse reconstruction
-with rejected components zeroed.
+contrast) with one component per channel, threshold-based component
+rejection, and inverse reconstruction with rejected components zeroed.
+:func:`fit_ica` is the one place that builds an :class:`IcaModel`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +21,14 @@ RANK_TOL = 1e-10  # relative eigenvalue floor for the covariance
 
 @dataclass
 class IcaModel:
-    """Whitening plus (once fitted) an orthonormal unmixing rotation."""
+    """Whitening and an orthonormal unmixing rotation, one component per channel."""
 
     whitening_matrix: np.ndarray  # (C, C)
     dewhitening_matrix: np.ndarray  # (C, C), inverse of the whitening map
     mean_vector: np.ndarray  # (C,)
-    n_components: int
-    unmixing_matrix: np.ndarray | None = None  # (n_components, C), orthonormal rows
-    converged: bool = False
-    n_iterations: int = 0
+    unmixing_matrix: np.ndarray  # (C, C), orthonormal rows
+    converged: bool
+    n_iterations: int
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class ArtifactReport:
     lowfreq_ratio: np.ndarray
     max_amplitude_z: np.ndarray
     rejected: frozenset[int]
-    thresholds: ArtifactThresholds = field(default_factory=ArtifactThresholds)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.kurtosis)
 
     def rows(self) -> list[tuple[int, float, float, float, bool]]:
         return [
@@ -64,12 +59,14 @@ class ArtifactReport:
                 float(self.max_amplitude_z[i]),
                 i in self.rejected,
             )
-            for i in range(self.n_components)
+            for i in range(len(self.kurtosis))
         ]
 
-def whiten(eeg: SignalRecord) -> tuple[IcaModel, SignalRecord]:
+
+def whiten(eeg: SignalRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Zero-mean, identity-covariance transform of a multichannel record.
 
+    Returns (whitening matrix, its inverse, channel means, whitened samples).
     Raises a degenerate-input error naming the most correlated channel pair
     when the covariance is rank deficient.
     """
@@ -95,18 +92,7 @@ def whiten(eeg: SignalRecord) -> tuple[IcaModel, SignalRecord]:
         )
     inv_root = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
     root = eigvecs @ np.diag(eigvals**0.5) @ eigvecs.T
-    model = IcaModel(
-        whitening_matrix=inv_root,
-        dewhitening_matrix=root,
-        mean_vector=mean,
-        n_components=n_ch,
-    )
-    whitened = SignalRecord(
-        sample_rate_hz=eeg.sample_rate_hz,
-        samples=inv_root @ centered,
-        channel_labels=eeg.channel_labels,
-    )
-    return model, whitened
+    return inv_root, root, mean, inv_root @ centered
 
 
 def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
@@ -115,34 +101,20 @@ def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
 
 
 def fit_fastica(
-    whitened: SignalRecord,
-    n_components: int | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    base: IcaModel | None = None,
-) -> IcaModel:
+    z: np.ndarray, rng: np.random.Generator, max_iter: int, tol: float
+) -> tuple[np.ndarray, bool, int]:
     """Symmetric fixed-point FastICA with the log-cosh contrast.
 
-    Operates on already-whitened data. Non-convergence within ``max_iter`` is
-    reported through ``converged`` rather than raised. When ``base`` (the
-    partial model from :func:`whiten`) is given, its whitening and mean are
-    folded into the returned model so it can reconstruct raw-signal space.
+    Operates on already-whitened (C, T) samples and returns the (C, C)
+    unmixing rotation, whether it converged and the iterations run.
+    Non-convergence within ``max_iter`` is reported, not raised.
     """
-    if rng is None:
-        raise InputError("fit_fastica requires an explicit rng")
-    z = whitened.samples
     n_ch, n_samples = z.shape
-    if n_components is None:
-        n_components = n_ch
-    if n_components > n_ch:
-        raise InputError(f"n_components {n_components} exceeds channels {n_ch}")
-
-    w = _symmetric_decorrelation(rng.standard_normal((n_components, n_ch)))
+    w = _symmetric_decorrelation(rng.standard_normal((n_ch, n_ch)))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        projections = w @ z  # (n_components, T)
+        projections = w @ z  # (C, T)
         g = np.tanh(projections)
         g_prime_mean = np.mean(1.0 - g * g, axis=1)
         w_new = (g @ z.T) / n_samples - g_prime_mean[:, None] * w
@@ -155,47 +127,20 @@ def fit_fastica(
         if delta < tol:
             converged = True
             break
-
-    if base is not None:
-        model = IcaModel(
-            whitening_matrix=base.whitening_matrix,
-            dewhitening_matrix=base.dewhitening_matrix,
-            mean_vector=base.mean_vector,
-            n_components=n_components,
-            unmixing_matrix=w,
-            converged=converged,
-            n_iterations=iterations,
-        )
-    else:
-        eye = np.eye(n_ch)
-        model = IcaModel(
-            whitening_matrix=eye,
-            dewhitening_matrix=eye.copy(),
-            mean_vector=np.zeros(n_ch),
-            n_components=n_components,
-            unmixing_matrix=w,
-            converged=converged,
-            n_iterations=iterations,
-        )
-    return model
+    return w, converged, iterations
 
 
 def fit_ica(
-    eeg: SignalRecord,
-    n_components: int | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-5,
-    rng: np.random.Generator | None = None,
+    eeg: SignalRecord, rng: np.random.Generator, max_iter: int = 200, tol: float = 1e-5
 ) -> IcaModel:
-    """Whiten and fit in one step; components = channels unless reduced."""
-    partial, whitened = whiten(eeg)
-    return fit_fastica(whitened, n_components, max_iter, tol, rng, base=partial)
+    """Whiten and fit in one step; one component per channel."""
+    whitening, dewhitening, mean, z = whiten(eeg)
+    w, converged, iterations = fit_fastica(z, rng, max_iter, tol)
+    return IcaModel(whitening, dewhitening, mean, w, converged, iterations)
 
 
 def sources(model: IcaModel, eeg: SignalRecord) -> SignalRecord:
     """Estimated independent components of a raw-space record."""
-    if model.unmixing_matrix is None:
-        raise InputError("model has no unmixing matrix; fit it first")
     centered = eeg.samples - model.mean_vector[:, None]
     comps = model.unmixing_matrix @ model.whitening_matrix @ centered
     labels = tuple(f"ic{i:02d}" for i in range(comps.shape[0]))
@@ -203,9 +148,7 @@ def sources(model: IcaModel, eeg: SignalRecord) -> SignalRecord:
 
 
 def score_and_reject(
-    model: IcaModel,
-    components: SignalRecord,
-    thresholds: ArtifactThresholds = ArtifactThresholds(),
+    components: SignalRecord, thresholds: ArtifactThresholds = ArtifactThresholds()
 ) -> ArtifactReport:
     """Score components for blink/drift/EMG signatures and mark rejects.
 
@@ -236,20 +179,14 @@ def score_and_reject(
         or max_z[i] > thresholds.max_amplitude_z
     )
     return ArtifactReport(
-        kurtosis=kurt,
-        lowfreq_ratio=ratio,
-        max_amplitude_z=max_z,
-        rejected=rejected,
-        thresholds=thresholds,
+        kurtosis=kurt, lowfreq_ratio=ratio, max_amplitude_z=max_z, rejected=rejected
     )
 
 
 def reconstruct_clean(
     model: IcaModel, components: SignalRecord, report: ArtifactReport
-) -> SignalRecord:
-    """Inverse transform with the rejected components zeroed out."""
-    if model.unmixing_matrix is None:
-        raise InputError("model has no unmixing matrix; fit it first")
+) -> np.ndarray:
+    """Raw-space (C, T) samples with the rejected components zeroed out."""
     bad = sorted(report.rejected)
     if any(i < 0 or i >= components.channels for i in bad):
         raise InputError(f"rejected indices {bad} outside 0..{components.channels - 1}")
@@ -259,6 +196,4 @@ def reconstruct_clean(
     # Unmixing U = W_rot @ W_white has pseudo-inverse W_dewhite @ W_rot^T
     # because the rotation rows are orthonormal.
     mixing = model.dewhitening_matrix @ model.unmixing_matrix.T
-    restored = mixing @ kept + model.mean_vector[:, None]
-    labels = tuple(f"ch{i:02d}" for i in range(restored.shape[0]))
-    return SignalRecord(components.sample_rate_hz, restored, labels)
+    return mixing @ kept + model.mean_vector[:, None]

@@ -312,7 +312,6 @@ PROB_FLOOR = 1e-12
 @dataclass
 class ForwardCache:
     x: np.ndarray
-    lengths: np.ndarray
     labels: np.ndarray
     tcn_cache: tuple | None
     gru_cache: tuple | None
@@ -341,7 +340,7 @@ def forward_batch(
         labels = np.asarray(labels, dtype=np.int64)
         picked = np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR)
         loss = float(np.mean(-np.log(picked)))
-    cache = ForwardCache(x, lengths, labels, tcn_cache, gru_cache, last, probs)
+    cache = ForwardCache(x, labels, tcn_cache, gru_cache, last, probs)
     return probs, loss, cache
 
 

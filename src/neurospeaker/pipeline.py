@@ -184,10 +184,9 @@ def preprocess_eeg(
                 filtered, max_iter=ica_config.max_iter, tol=ica_config.tol, rng=rng
             )
             comps = ica.sources(model, filtered)
-            report = ica.score_and_reject(model, comps, ica_config.thresholds)
+            report = ica.score_and_reject(comps, ica_config.thresholds)
             clean = ica.reconstruct_clean(model, comps, report)
-            clean_record = SignalRecord(rate, clean.samples, utt.eeg.channel_labels)
-            cleaned[i] = replace(utt, eeg=clean_record)
+            cleaned[i] = replace(utt, eeg=SignalRecord(rate, clean, utt.eeg.channel_labels))
             report_rows[i] = [(utt.utterance_id, *r) for r in report.rows()]
         del stacked  # before the next block is filtered
     return cleaned, [r for rows in report_rows for r in rows]

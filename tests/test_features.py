@@ -12,8 +12,8 @@ from neurospeaker.features import (
     FeatureSequence,
     Modality,
     MfccConfig,
+    _feature_block,
     compute_feature_stats,
-    eeg_frame_features,
     excess_kurtosis,
     extract_eeg_features,
     extract_mfcc,
@@ -21,6 +21,11 @@ from neurospeaker.features import (
     mel_filterbank,
     normalize_features,
 )
+
+
+def eeg_frame_features(frame):
+    """Per-frame oracle: the five EEG features of one 1-D frame."""
+    return _feature_block(np.asarray(frame)[np.newaxis, :])[0]
 
 
 class TestEegFrameFeatures:
@@ -180,10 +185,10 @@ class TestMfcc:
 
 class TestMelFilterbank:
     def test_filters_cover_spectrum(self):
-        bank = mel_filterbank(26, 512, 16000)
-        assert bank.weights.shape == (26, 257)
-        assert np.all(bank.weights.sum(axis=1) > 0)
-        coverage = bank.weights.sum(axis=0)
+        weights = mel_filterbank(26, 512, 16000)
+        assert weights.shape == (26, 257)
+        assert np.all(weights.sum(axis=1) > 0)
+        coverage = weights.sum(axis=0)
         assert np.all(coverage[1:-1] > 0)  # every interior bin touched
 
 
