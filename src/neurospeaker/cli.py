@@ -11,7 +11,7 @@ contradiction, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import os
 import sys
 from pathlib import Path
 
@@ -36,8 +36,6 @@ EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
-FEATURES_INDEX = "features.csv"
-FEATURE_COLUMNS = ("utterance_id", "speaker_label", "mfcc_path", "eeg155_path", "eeg30_path")
 # The streams a classifier trains on, keyed by the checkpoint's input width.
 TRAINABLE = {m.dim: m for m in pipeline.MODALITY_COLUMNS}
 
@@ -188,20 +186,6 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _write_features_index(path: Path, rows: list[dict[str, str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=FEATURE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _read_features_index(path: Path) -> list[dict[str, str]]:
-    try:
-        return fileio.read_index(path, FEATURE_COLUMNS)
-    except OSError as exc:
-        raise FormatError(f"cannot read feature index {path}: {exc}") from exc
-
-
 def cmd_features(args) -> int:
     config = _load_run_config(args)
     utterances, manifest, _ = _load_corpus(args.in_dir)
@@ -226,7 +210,7 @@ def cmd_features(args) -> int:
                 "eeg30_path": "",
             }
         )
-    _write_features_index(out / FEATURES_INDEX, rows)
+    fileio.write_features_index(out / fileio.FEATURES_INDEX, rows)
     print(f"extracted features for {len(rows)} utterances")
     return EXIT_OK
 
@@ -254,7 +238,7 @@ def _load_feature_streams(features_dir: Path, rows, want_eeg30: bool):
 
 def cmd_kpca(args) -> int:
     config = _load_run_config(args)
-    rows = _read_features_index(args.features / FEATURES_INDEX)
+    rows = fileio.read_features_index(args.features / fileio.FEATURES_INDEX)
     out = _ensure_dir(args.out or args.features)
     streams, speakers = _load_feature_streams(args.features, rows, want_eeg30=False)
     partition = pipeline.split_utterances(streams, speakers, config.seed)
@@ -266,7 +250,10 @@ def cmd_kpca(args) -> int:
         rel = f"eeg30/{utt_id}.fseq"
         fileio.write_fseq(out / rel, streams[utt_id]["eeg30"])
         row["eeg30_path"] = rel
-    _write_features_index(out / FEATURES_INDEX, rows)
+        # Relative to ``out``, which need not be the features directory.
+        for column in ("mfcc_path", "eeg155_path"):
+            row[column] = os.path.relpath(args.features / row[column], out)
+    fileio.write_features_index(out / fileio.FEATURES_INDEX, rows)
     fractions = kpca.cumulative_explained_variance(model)
     fileio.write_explained_variance_csv(out / "explained_variance.csv", fractions)
     print(
@@ -277,7 +264,7 @@ def cmd_kpca(args) -> int:
 
 
 def _assemble_from_dir(features_dir: Path, config: RunConfig, modality: Modality):
-    rows = _read_features_index(features_dir / FEATURES_INDEX)
+    rows = fileio.read_features_index(features_dir / fileio.FEATURES_INDEX)
     want_eeg30 = modality in (Modality.EEG30, Modality.FUSED43)
     streams, speakers = _load_feature_streams(features_dir, rows, want_eeg30)
     return pipeline.assemble_dataset(streams, speakers, modality, config.seed)
@@ -330,7 +317,7 @@ def cmd_eval(args) -> int:
     lines = [
         f"modality: {modality.name}",
         f"test items: {report.n_test}",
-        f"test accuracy: {report.accuracy_percent()}%",
+        f"test accuracy: {fileio.format_percent(report.test_accuracy)}%",
         "confusion matrix (rows = truth):",
     ]
     for row in report.confusion_matrix:
@@ -340,10 +327,7 @@ def cmd_eval(args) -> int:
     if args.out is not None:
         out = _ensure_dir(args.out)
         (out / "report.txt").write_text(text + "\n")
-        with open(out / "confusion.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"pred_{i}" for i in range(dataset.n_speakers)])
-            writer.writerows(report.confusion_matrix.tolist())
+        fileio.write_confusion_csv(out / "confusion.csv", report.confusion_matrix)
     return EXIT_OK
 
 

@@ -45,7 +45,6 @@ class SignalRecord:
 
     sample_rate_hz: float
     samples: np.ndarray  # (channels, time)
-    channel_labels: tuple[str, ...]
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -53,10 +52,6 @@ class SignalRecord:
             raise InputError("samples must be a 2-D (channels x time) array")
         if self.sample_rate_hz <= 0:
             raise InputError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if len(self.channel_labels) != self.samples.shape[0]:
-            raise InputError(
-                f"{len(self.channel_labels)} channel labels for {self.samples.shape[0]} channels"
-            )
 
     @property
     def channels(self) -> int:
@@ -65,10 +60,6 @@ class SignalRecord:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-
-def default_channel_labels(n: int, prefix: str = "ch") -> tuple[str, ...]:
-    return tuple(f"{prefix}{i:02d}" for i in range(n))
 
 
 @dataclass

@@ -6,7 +6,9 @@ and pairing into stable second-order sections. Application is causal
 (single-pass, transposed direct form II) and row-wise: a block of rows (the
 channels of one or of several equal-length recordings) is filtered
 time-major, one contiguous time step of every row at a time, and each row's
-output is the same as if it were filtered alone.
+output is the same as if it were filtered alone. The pipeline filters each
+block once, through one cascade of the band-pass sections followed by the
+notch section; the sections run one after another over the whole block.
 """
 from __future__ import annotations
 
@@ -29,19 +31,10 @@ class BiquadSection:
     a1: float
     a2: float
 
-    def poles(self) -> np.ndarray:
-        return np.roots([1.0, self.a1, self.a2])
-
-    def is_stable(self) -> bool:
-        return bool(np.all(np.abs(self.poles()) < 1.0))
-
 
 @dataclass(frozen=True)
 class BiquadCascade:
     sections: tuple[BiquadSection, ...]
-
-    def is_stable(self) -> bool:
-        return all(s.is_stable() for s in self.sections)
 
     def response(self, freqs_hz, sample_rate_hz: float) -> np.ndarray:
         """Complex frequency response H(e^{j omega}) evaluated from the coefficients."""
@@ -237,12 +230,7 @@ def apply_filter(cascade: BiquadCascade, signal: SignalRecord) -> SignalRecord:
     """Filter every channel independently; output length equals input length."""
     if signal.n_samples == 0:
         raise InputError("cannot filter an empty signal")
-    filtered = apply_filter_block(cascade, signal.samples)
-    return SignalRecord(
-        sample_rate_hz=signal.sample_rate_hz,
-        samples=filtered,
-        channel_labels=signal.channel_labels,
-    )
+    return SignalRecord(signal.sample_rate_hz, apply_filter_block(cascade, signal.samples))
 
 
 def frame_signal(signal: SignalRecord, spec: FrameSpec) -> np.ndarray:

@@ -230,7 +230,7 @@ def extract_mfcc(
     x = audio.samples[0]
     emphasized = np.concatenate([x[:1], x[1:] - config.preemphasis * x[:-1]])
     spec = FrameSpec(config.frame_length, _feature_hop(audio.sample_rate_hz))
-    record = SignalRecord(audio.sample_rate_hz, emphasized[np.newaxis, :], ("mono",))
+    record = SignalRecord(audio.sample_rate_hz, emphasized[np.newaxis, :])
     windows = frame_signal(record, spec)[0]  # (T, frame_length)
     hann = np.hanning(config.frame_length)
     power = np.abs(np.fft.rfft(windows * hann, n=config.fft_size, axis=-1)) ** 2

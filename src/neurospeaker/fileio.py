@@ -1,5 +1,5 @@
-"""On-disk formats: feature sequences, raw EEG, WAV audio, manifests,
-model checkpoints, and report/curve files.
+"""On-disk formats: feature sequences, raw EEG, WAV audio, manifests and
+feature indexes, model checkpoints, and report/curve files.
 
 All binary containers are little-endian. Tensor payloads are 32-bit floats.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SignalRecord, default_channel_labels
+from .core import SignalRecord
 from .errors import DimensionError, FormatError, InputError
 from .features import FeatureSequence, Modality
 from .nn import ClassifierParams, DenseParams, GruLayerParams, TcnLayerParams
@@ -24,6 +24,30 @@ FSEQ_MAGIC = b"FSEQ"
 EEG_MAGIC = b"EEGR"
 CHECKPOINT_MAGIC = b"NSPK"
 FORMAT_VERSION = 1
+
+# ------------------------------------------------------------ shared helpers
+
+def _read_header(fh, path, magic: bytes, fmt: str) -> tuple:
+    """The header fields after ``magic``, unpacked by ``fmt`` whose first
+    field is the format version; the version is checked, not returned."""
+    found = fh.read(len(magic))
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    header = fh.read(struct.calcsize(fmt))
+    if len(header) != struct.calcsize(fmt):
+        raise FormatError(f"{path}: truncated header")
+    version, *fields = struct.unpack(fmt, header)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    return tuple(fields)
+
+
+def _write_csv(path: Path | str, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 # ---------------------------------------------------------------- FSEQ files
 
@@ -40,15 +64,7 @@ def write_fseq(path: Path | str, seq: FeatureSequence) -> None:
 
 def read_fseq(path: Path | str, utterance_id: str = "") -> FeatureSequence:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FSEQ_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {FSEQ_MAGIC!r}")
-        header = fh.read(struct.calcsize("<HBHII"))
-        if len(header) != struct.calcsize("<HBHII"):
-            raise FormatError(f"{path}: truncated header")
-        version, modality_code, rate_hz, t, d = struct.unpack("<HBHII", header)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        modality_code, rate_hz, t, d = _read_header(fh, path, FSEQ_MAGIC, "<HBHII")
         try:
             modality = Modality(modality_code)
         except ValueError as exc:
@@ -79,21 +95,13 @@ def write_eeg(path: Path | str, record: SignalRecord) -> None:
 
 def read_eeg(path: Path | str) -> SignalRecord:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != EEG_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {EEG_MAGIC!r}")
-        header = fh.read(struct.calcsize("<HHI"))
-        if len(header) != struct.calcsize("<HHI"):
-            raise FormatError(f"{path}: truncated header")
-        version, channels, rate = struct.unpack("<HHI", header)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        channels, rate = _read_header(fh, path, EEG_MAGIC, "<HHI")
         payload = fh.read()
     if channels == 0 or len(payload) % (4 * channels):
         raise FormatError(f"{path}: payload is not a whole number of {channels}-channel samples")
     samples = np.frombuffer(payload, dtype="<f4").reshape(channels, -1)
     try:
-        return SignalRecord(rate, samples, default_channel_labels(channels))
+        return SignalRecord(rate, samples)
     except InputError as exc:  # e.g. rate 0
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -129,7 +137,7 @@ def read_wav(path: Path | str) -> SignalRecord:
         raise FormatError(f"{path}: truncated audio ({n_frames} frames claimed)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     try:
-        return SignalRecord(rate, samples[None, :], ("mono",))
+        return SignalRecord(rate, samples[None, :])
     except InputError as exc:  # e.g. rate 0
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -142,10 +150,7 @@ MANIFEST_COLUMNS = ("utterance_id", "speaker_label", "audio_path", "eeg_path")
 def write_manifest(path: Path | str, rows: list[tuple[str, str, str, str]]) -> None:
     """CSV of (utterance_id, speaker_label, audio_path, eeg_path); paths are
     relative to the manifest's directory."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(path, MANIFEST_COLUMNS, rows)
 
 
 def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
@@ -174,6 +179,21 @@ def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str
 
 def read_manifest(path: Path | str) -> list[dict[str, str]]:
     return read_index(path, MANIFEST_COLUMNS)
+
+
+FEATURES_INDEX = "features.csv"
+FEATURE_COLUMNS = ("utterance_id", "speaker_label", "mfcc_path", "eeg155_path", "eeg30_path")
+
+
+def write_features_index(path: Path | str, rows: list[dict[str, str]]) -> None:
+    """CSV of each utterance's feature files, keyed by ``FEATURE_COLUMNS``;
+    paths are relative to the index's directory and ``eeg30_path`` is empty
+    until the kpca stage has run."""
+    _write_csv(path, FEATURE_COLUMNS, ([row[c] for c in FEATURE_COLUMNS] for row in rows))
+
+
+def read_features_index(path: Path | str) -> list[dict[str, str]]:
+    return read_index(path, FEATURE_COLUMNS)
 
 
 def speaker_index(rows: list[dict[str, str]]) -> dict[str, int]:
@@ -285,40 +305,30 @@ def _check_parameter_shapes(path, tensors, input_dim: int, n_speakers: int, tcn_
             raise FormatError(f"{path}: {name} has shape {tensors[name].shape}, expected {shape}")
 
 
+# The ten parameter tensors in ``ClassifierParams.named_arrays`` order.
+PARAMETERS = (
+    "tcn.kernels", "tcn.biases",
+    "gru.w_update", "gru.w_reset", "gru.w_cand",
+    "gru.b_update", "gru.b_reset", "gru.b_cand",
+    "dense.weights", "dense.biases",
+)
+
+
 def read_checkpoint(path: Path | str):
     """Returns (params, extra tensors, header dict). Weights come back float32.
     Tensors other than the ten parameters, such as ``norm.*``, are extras."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        header = fh.read(struct.calcsize("<HIII"))
-        if len(header) != struct.calcsize("<HIII"):
-            raise FormatError(f"{path}: truncated header")
-        version, input_dim, n_speakers, tcn_width = struct.unpack("<HIII", header)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        input_dim, n_speakers, tcn_width = _read_header(fh, path, CHECKPOINT_MAGIC, "<HIII")
         tensors = _read_tensors(fh, path)
-    required = [
-        "tcn.kernels", "tcn.biases",
-        "gru.w_update", "gru.w_reset", "gru.w_cand",
-        "gru.b_update", "gru.b_reset", "gru.b_cand",
-        "dense.weights", "dense.biases",
-    ]
-    missing = [name for name in required if name not in tensors]
+    missing = [name for name in PARAMETERS if name not in tensors]
     if missing:
         raise FormatError(f"{path}: checkpoint missing tensors {missing}")
     _check_parameter_shapes(path, tensors, input_dim, n_speakers, tcn_width)
+    arrays = [tensors[name].copy() for name in PARAMETERS]
     params = ClassifierParams(
-        tcn=TcnLayerParams(tensors["tcn.kernels"].copy(), tensors["tcn.biases"].copy()),
-        gru=GruLayerParams(
-            tensors["gru.w_update"].copy(), tensors["gru.w_reset"].copy(),
-            tensors["gru.w_cand"].copy(), tensors["gru.b_update"].copy(),
-            tensors["gru.b_reset"].copy(), tensors["gru.b_cand"].copy(),
-        ),
-        dense=DenseParams(tensors["dense.weights"].copy(), tensors["dense.biases"].copy()),
+        TcnLayerParams(*arrays[:2]), GruLayerParams(*arrays[2:8]), DenseParams(*arrays[8:])
     )
-    extras = {k: v.copy() for k, v in tensors.items() if k not in required}
+    extras = {k: v.copy() for k, v in tensors.items() if k not in PARAMETERS}
     header_info = {"input_dim": input_dim, "n_speakers": n_speakers, "tcn_width": tcn_width}
     return params, extras, header_info
 
@@ -327,32 +337,27 @@ def read_checkpoint(path: Path | str):
 
 def write_curves_csv(path: Path | str, curves: list[tuple[int, float, float]]) -> None:
     """Per-epoch accuracy curves: (epoch, train_accuracy, val_accuracy)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_accuracy", "val_accuracy"])
-        for epoch, train_acc, val_acc in curves:
-            writer.writerow([epoch, f"{train_acc:.6f}", f"{val_acc:.6f}"])
+    rows = ((epoch, f"{train:.6f}", f"{val:.6f}") for epoch, train, val in curves)
+    _write_csv(path, ("epoch", "train_accuracy", "val_accuracy"), rows)
 
 
 def write_explained_variance_csv(path: Path | str, fractions: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component_index", "cumulative_fraction"])
-        for i, frac in enumerate(fractions):
-            writer.writerow([i, f"{frac:.6f}"])
+    rows = ((i, f"{frac:.6f}") for i, frac in enumerate(fractions))
+    _write_csv(path, ("component_index", "cumulative_fraction"), rows)
 
 
 def write_artifact_report_csv(path: Path | str, rows: list[tuple]) -> None:
     """Audit log: (utterance_id, component, kurtosis, lowfreq_ratio, max_amp_z, rejected)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["utterance_id", "component", "kurtosis", "lowfreq_ratio", "max_amplitude_z", "rejected"]
-        )
-        for utt_id, comp, kurt, ratio, z, rejected in rows:
-            writer.writerow(
-                [utt_id, comp, f"{kurt:.4f}", f"{ratio:.4f}", f"{z:.4f}", int(rejected)]
-            )
+    header = ("utterance_id", "component", "kurtosis", "lowfreq_ratio", "max_amplitude_z", "rejected")
+    _write_csv(path, header, (
+        (utt_id, comp, f"{kurt:.4f}", f"{ratio:.4f}", f"{z:.4f}", int(rejected))
+        for utt_id, comp, kurt, ratio, z, rejected in rows
+    ))
+
+
+def write_confusion_csv(path: Path | str, confusion: np.ndarray) -> None:
+    """Test-partition counts, rows = truth, one ``pred_<i>`` column per speaker."""
+    _write_csv(path, [f"pred_{i}" for i in range(len(confusion))], confusion.tolist())
 
 
 def render_curves_svg(path: Path | str, curves: list[tuple[int, float, float]]) -> None:
@@ -402,7 +407,4 @@ def write_comparison_table(
     Path(txt_path).write_text(
         header + "\n" + "-" * len(header) + "\n" + line + "\n"
     )
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerow(values)
+    _write_csv(csv_path, columns, [values])

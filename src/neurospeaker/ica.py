@@ -87,8 +87,8 @@ def whiten(eeg: SignalRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         i, j = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)
         a, b = sorted((i, j))
         raise DegenerateInputError(
-            f"rank-deficient covariance; channels {eeg.channel_labels[a]!r} and "
-            f"{eeg.channel_labels[b]!r} are linearly dependent"
+            f"rank-deficient covariance; channels 'ch{a:02d}' and 'ch{b:02d}' "
+            "are linearly dependent"
         )
     inv_root = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
     root = eigvecs @ np.diag(eigvals**0.5) @ eigvecs.T
@@ -143,8 +143,7 @@ def sources(model: IcaModel, eeg: SignalRecord) -> SignalRecord:
     """Estimated independent components of a raw-space record."""
     centered = eeg.samples - model.mean_vector[:, None]
     comps = model.unmixing_matrix @ model.whitening_matrix @ centered
-    labels = tuple(f"ic{i:02d}" for i in range(comps.shape[0]))
-    return SignalRecord(eeg.sample_rate_hz, comps, labels)
+    return SignalRecord(eeg.sample_rate_hz, comps)
 
 
 def score_and_reject(

@@ -3,8 +3,9 @@ evaluation, and the three-modality comparison experiment.
 
 Runs are deterministic: every stochastic step draws from a generator derived
 from the root seed and a stage label. EEG filtering runs on blocks of
-equal-length recordings stacked row-wise (each row is filtered on its own, so
-a block gives the same bits as one recording at a time); ICA, rejection and
+equal-length recordings stacked row-wise, and each block is filtered once
+through the band-pass + notch cascade (each row is filtered on its own, so a
+block gives the same bits as one recording at a time); ICA, rejection and
 features run per utterance, one after another. One seeded split
 (``split_utterances``) serves the KPCA fit and every modality.
 """
@@ -107,11 +108,6 @@ class EvalReport:
     def n_test(self) -> int:
         return int(self.confusion_matrix.sum())
 
-    def accuracy_percent(self) -> str:
-        from .fileio import format_percent
-
-        return format_percent(self.test_accuracy)
-
 
 @dataclass
 class TrainResult:
@@ -142,8 +138,10 @@ def preprocess_eeg(
     """Band-pass and notch filtering, then ICA artifact removal per utterance.
 
     Equal-length recordings are filtered together, in blocks of at most
-    ``FILTER_BLOCK_ROWS`` rows (see ``_filter_blocks``); each row is filtered
-    on its own, so the result is the same as one recording at a time.
+    ``FILTER_BLOCK_ROWS`` rows (see ``_filter_blocks``), each block once
+    through the band-pass sections followed by the notch section; each row
+    is filtered on its own, so the result is the same as one recording at a
+    time.
     Returns cleaned utterances plus artifact-report rows for the audit log,
     both in corpus order.
     Every recording must share the first one's sample rate, which the filters
@@ -162,22 +160,22 @@ def preprocess_eeg(
         config.bandpass_order, config.bandpass_low_hz, config.bandpass_high_hz, rate
     )
     notch = dsp.design_notch(config.notch_hz, config.notch_q, rate)
+    cascade = dsp.BiquadCascade(bandpass.sections + notch.sections)
 
     cleaned: list[Utterance | None] = [None] * len(utterances)
     report_rows: list[list[tuple]] = [[] for _ in utterances]
     for block in _filter_blocks(utterances):
-        # The stacked input is dropped as soon as the band-pass has read it.
+        # The stacked input is dropped as soon as the filter has read it.
         stacked = dsp.apply_filter(
-            notch, dsp.apply_filter(bandpass, _stack([utterances[i].eeg for i in block]))
+            cascade,
+            SignalRecord(rate, np.concatenate([utterances[i].eeg.samples for i in block])),
         )
         start = 0
         for i in block:
             utt = utterances[i]
             stop = start + utt.eeg.channels
             # A fresh array, as the filter gives a recording filtered alone.
-            filtered = SignalRecord(
-                rate, stacked.samples[start:stop].copy(), utt.eeg.channel_labels
-            )
+            filtered = SignalRecord(rate, stacked.samples[start:stop].copy())
             start = stop
             rng = derive_rng(seed, f"ica.{utt.utterance_id}")
             model = ica.fit_ica(
@@ -186,7 +184,7 @@ def preprocess_eeg(
             comps = ica.sources(model, filtered)
             report = ica.score_and_reject(comps, ica_config.thresholds)
             clean = ica.reconstruct_clean(model, comps, report)
-            cleaned[i] = replace(utt, eeg=SignalRecord(rate, clean, utt.eeg.channel_labels))
+            cleaned[i] = replace(utt, eeg=SignalRecord(rate, clean))
             report_rows[i] = [(utt.utterance_id, *r) for r in report.rows()]
         del stacked  # before the next block is filtered
     return cleaned, [r for rows in report_rows for r in rows]
@@ -207,15 +205,6 @@ def _filter_blocks(utterances: list[Utterance]) -> list[list[int]]:
         block.append(i)
         open_blocks[utt.eeg.n_samples] = (block, rows + utt.eeg.channels)
     return blocks
-
-
-def _stack(records: list[SignalRecord]) -> SignalRecord:
-    """Equal-length records as one record, their rows in order."""
-    return SignalRecord(
-        records[0].sample_rate_hz,
-        np.concatenate([r.samples for r in records]),
-        tuple(label for r in records for label in r.channel_labels),
-    )
 
 
 def extract_features(
@@ -448,7 +437,6 @@ def run_experiment(
     ica_config: IcaConfig = IcaConfig(),
     kpca_config: KpcaConfig = KpcaConfig(),
     mfcc_config: MfccConfig = MfccConfig(),
-    utterances: list[Utterance] | None = None,
 ) -> ExperimentResult:
     """Train one model per modality on identical splits and seeds.
 
@@ -456,8 +444,7 @@ def run_experiment(
     for MFCC-only, EEG-only, and fused features.
     """
     check_dimension_contracts(spec.n_speakers)
-    if utterances is None:
-        utterances = generate_synthetic(spec)
+    utterances = generate_synthetic(spec)
     speakers = {u.utterance_id: u.speaker for u in utterances}
     cleaned, _ = preprocess_eeg(utterances, dsp_config, ica_config, config.seed)
     features = extract_features(cleaned, dsp_config, mfcc_config)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignalRecord, default_channel_labels, derive_rng
+from .core import SignalRecord, derive_rng
 from .errors import InputError
 from .features import EEG_CHANNELS
 
@@ -56,10 +56,6 @@ class SynthSpec:
             raise InputError(f"duration must be positive, got {self.duration_s}")
         if self.separability < 0:
             raise InputError(f"separability must be >= 0, got {self.separability}")
-
-    @property
-    def n_utterances(self) -> int:
-        return self.n_speakers * self.utterances_per_speaker
 
 
 @dataclass
@@ -189,10 +185,8 @@ def generate_synthetic(spec: SynthSpec) -> list[Utterance]:
                 Utterance(
                     utterance_id=utt_id,
                     speaker=speaker,
-                    audio=SignalRecord(AUDIO_RATE_HZ, audio[None, :], ("mono",)),
-                    eeg=SignalRecord(
-                        EEG_RATE_HZ, eeg, default_channel_labels(EEG_CHANNELS)
-                    ),
+                    audio=SignalRecord(AUDIO_RATE_HZ, audio[None, :]),
+                    eeg=SignalRecord(EEG_RATE_HZ, eeg),
                 )
             )
             index += 1

@@ -12,9 +12,10 @@ import pytest
 
 import neurospeaker
 from neurospeaker import fileio, nn
-from neurospeaker.cli import FEATURE_COLUMNS, main
+from neurospeaker.cli import main
 from neurospeaker.core import make_rng
 from neurospeaker.features import Modality
+from neurospeaker.fileio import FEATURE_COLUMNS
 
 from test_fileio import BAD_HEADER_VALUES, BAD_TENSORS, patch_bytes, write_bad_checkpoint
 
@@ -88,6 +89,19 @@ class TestStages:
         out = tmp_path / "kpca"
         assert main(["kpca", "--features", str(feats), "--out", str(out), "--seed", "21", *TINY]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["eeg30", "explained_variance.csv", "features.csv"]
+
+    def test_train_and_eval_on_a_kpca_out_dir(self, staged, tmp_path):
+        """The index ``kpca --out`` writes finds the MFCC13 and EEG155 files
+        that stay in the features directory, here a sibling of the output."""
+        feats, red, run = tmp_path / "feats", tmp_path / "red", tmp_path / "run"
+        shutil.copytree(staged[3], feats)
+        assert main(["kpca", "--features", str(feats), "--out", str(red), "--seed", "21", *TINY]) == 0
+        row = fileio.read_features_index(red / "features.csv")[0]
+        assert row["mfcc_path"].startswith(os.path.join("..", "feats", "mfcc13", ""))
+        assert main(["train", "--features", str(red), "--out", str(run),
+                     "--seed", "21", "--set", "train.epochs=1"]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.nspk"),
+                     "--features", str(red), "--seed", "21"]) == 0
 
     def test_train_checkpoint_holds_parameters_and_norm_only(self, staged, tmp_path):
         _, _, _, feats = staged

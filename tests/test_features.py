@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
+from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.errors import AlignmentError, DimensionError, InputError
 from neurospeaker.features import (
     FeatureSequence,
@@ -102,7 +102,7 @@ class TestExcessKurtosis:
 
 class TestExtractEegFeatures:
     def _record(self, samples):
-        return SignalRecord(1000.0, samples, default_channel_labels(samples.shape[0]))
+        return SignalRecord(1000.0, samples)
 
     def test_shape_for_one_second(self):
         x = make_rng(0).standard_normal((31, 1000))
@@ -124,12 +124,12 @@ class TestExtractEegFeatures:
     def test_hop_follows_the_sample_rate(self):
         """100 Hz frames: hop 5 at 500 Hz; 250 Hz has no whole-sample hop."""
         x = make_rng(2).standard_normal((31, 500))
-        seq = extract_eeg_features(SignalRecord(500.0, x, default_channel_labels(31)), 50)
+        seq = extract_eeg_features(SignalRecord(500.0, x), 50)
         assert seq.frames.shape == (1 + (500 - 50) // 5, 155)
         assert seq.rate_hz == 100
         np.testing.assert_allclose(seq.frames[3, :5], eeg_frame_features(x[0, 15:65]), rtol=1e-6)
         with pytest.raises(InputError, match="250"):
-            extract_eeg_features(SignalRecord(250.0, x, default_channel_labels(31)), 50)
+            extract_eeg_features(SignalRecord(250.0, x), 50)
 
     def test_matches_per_frame_operation(self):
         x = make_rng(5).standard_normal((31, 300))
@@ -142,7 +142,7 @@ class TestExtractEegFeatures:
 
 class TestMfcc:
     def _audio(self, samples):
-        return SignalRecord(16000.0, samples[np.newaxis, :], ("mono",))
+        return SignalRecord(16000.0, samples[np.newaxis, :])
 
     def test_dimension_is_13(self):
         audio = self._audio(make_rng(0).standard_normal(16000) * 0.1)
@@ -169,12 +169,12 @@ class TestMfcc:
         assert np.linalg.norm(a.frames[10] - b.frames[10]) > 0.0
 
     def test_wrong_rate_rejected(self):
-        audio = SignalRecord(8000.0, np.zeros((1, 8000)), ("mono",))
+        audio = SignalRecord(8000.0, np.zeros((1, 8000)))
         with pytest.raises(InputError):
             extract_mfcc(audio)
 
     def test_stereo_rejected(self):
-        audio = SignalRecord(16000.0, np.zeros((2, 16000)), ("l", "r"))
+        audio = SignalRecord(16000.0, np.zeros((2, 16000)))
         with pytest.raises(InputError):
             extract_mfcc(audio)
 
@@ -236,14 +236,8 @@ class TestTimeAlignment:
         # equal-duration streams differ by a constant frame offset determined
         # by the two analysis windows (25 ms at 16 kHz vs 100 ms at 1 kHz)
         for duration in (1.0, 2.0, 3.5):
-            audio = SignalRecord(
-                16000.0, np.zeros((1, int(16000 * duration))), ("mono",)
-            )
-            eeg = SignalRecord(
-                1000.0,
-                np.zeros((31, int(1000 * duration))),
-                default_channel_labels(31),
-            )
+            audio = SignalRecord(16000.0, np.zeros((1, int(16000 * duration))))
+            eeg = SignalRecord(1000.0, np.zeros((31, int(1000 * duration))))
             t_mfcc = extract_mfcc(audio).n_frames
             t_eeg = extract_eeg_features(eeg).n_frames
             assert t_mfcc - t_eeg == 7

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurospeaker import fileio, nn
-from neurospeaker.cli import FEATURE_COLUMNS
-from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
+from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.errors import FormatError
 from neurospeaker.features import FeatureSequence, Modality
+from neurospeaker.fileio import FEATURE_COLUMNS
 
 
 # One tensor each, shaped against a 43-dim, 4-speaker checkpoint with four
@@ -40,7 +40,12 @@ BAD_HEADER_VALUES = {
     "fseq D disagrees with modality": ("fseq", 6, bytes([int(Modality.EEG30)])),  # D stays 13
     "wav rate 0": ("wav", 24, struct.pack("<I", 0)),
 }
-READERS = {"eeg": fileio.read_eeg, "fseq": fileio.read_fseq, "wav": fileio.read_wav}
+READERS = {
+    "eeg": fileio.read_eeg,
+    "fseq": fileio.read_fseq,
+    "wav": fileio.read_wav,
+    "nspk": fileio.read_checkpoint,
+}
 
 
 def patch_bytes(path, offset, new):
@@ -50,14 +55,17 @@ def patch_bytes(path, offset, new):
 
 
 def write_sample(path, kind):
-    """A small valid file of ``kind``: 31-channel EEG, MFCC13 frames or 16 kHz audio."""
+    """A small valid file of ``kind``: 31-channel EEG, MFCC13 frames, 16 kHz
+    audio or a tiny checkpoint."""
     rng = make_rng(3)
     if kind == "eeg":
-        fileio.write_eeg(path, SignalRecord(1000, rng.standard_normal((31, 20)), default_channel_labels(31)))
+        fileio.write_eeg(path, SignalRecord(1000, rng.standard_normal((31, 20))))
     elif kind == "fseq":
         fileio.write_fseq(path, FeatureSequence(rng.standard_normal((4, 13)), 100, Modality.MFCC13, "u"))
+    elif kind == "nspk":
+        fileio.write_checkpoint(path, nn.init_classifier(5, 3, rng, tcn_filters=2, tcn_width=2, gru_hidden=3))
     else:
-        fileio.write_wav(path, SignalRecord(16000, 0.1 * rng.standard_normal((1, 50)), ("mono",)))
+        fileio.write_wav(path, SignalRecord(16000, 0.1 * rng.standard_normal((1, 50))))
 
 
 @pytest.mark.parametrize("kind, offset, new", BAD_HEADER_VALUES.values(), ids=list(BAD_HEADER_VALUES))
@@ -70,6 +78,27 @@ def test_header_value_the_record_rejects_is_a_format_error(tmp_path, kind, offse
         READERS[kind](path)
 
 
+# Magic plus the fixed header that follows it, version first.
+HEADER_BYTES = {"fseq": 4 + 13, "eeg": 4 + 8, "nspk": 4 + 14}
+HEADER_DAMAGE = {
+    "bad magic": lambda raw, size: b"NOPE" + raw[4:],
+    "truncated header": lambda raw, size: raw[: size - 1],
+    "unsupported version 2": lambda raw, size: raw[:4] + struct.pack("<H", 2) + raw[6:],
+}
+
+
+@pytest.mark.parametrize("kind", HEADER_BYTES)
+@pytest.mark.parametrize("damage", HEADER_DAMAGE)
+def test_damaged_header_is_a_format_error_naming_the_path(tmp_path, kind, damage):
+    path = tmp_path / f"x.{kind}"
+    write_sample(path, kind)
+    READERS[kind](path)  # the undamaged file reads
+    path.write_bytes(HEADER_DAMAGE[damage](path.read_bytes(), HEADER_BYTES[kind]))
+    with pytest.raises(FormatError, match=damage) as err:
+        READERS[kind](path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 @pytest.fixture(scope="module")
 def samples(tmp_path_factory):
     """Files small enough that a drawn byte position lands in the header
@@ -77,7 +106,7 @@ def samples(tmp_path_factory):
     root = tmp_path_factory.mktemp("samples")
     rng = make_rng(4)
     paths = {kind: root / f"sample.{kind}" for kind in ("eeg", "fseq")}
-    fileio.write_eeg(paths["eeg"], SignalRecord(512, rng.standard_normal((2, 3)), ("a", "b")))
+    fileio.write_eeg(paths["eeg"], SignalRecord(512, rng.standard_normal((2, 3))))
     fileio.write_fseq(paths["fseq"], FeatureSequence(rng.standard_normal((1, 13)), 100, Modality.MFCC13, "u"))
     return paths
 
@@ -255,7 +284,7 @@ class TestFseq:
 class TestEeg:
     def test_round_trip(self, tmp_path):
         samples = make_rng(1).standard_normal((31, 500)).astype(np.float32)
-        rec = SignalRecord(1000, samples, default_channel_labels(31))
+        rec = SignalRecord(1000, samples)
         path = tmp_path / "x.eeg"
         fileio.write_eeg(path, rec)
         loaded = fileio.read_eeg(path)
@@ -264,7 +293,7 @@ class TestEeg:
         np.testing.assert_array_equal(loaded.samples.astype(np.float32), samples)
 
     def test_header_layout(self, tmp_path):
-        rec = SignalRecord(1000, np.zeros((2, 3)), ("a", "b"))
+        rec = SignalRecord(1000, np.zeros((2, 3)))
         path = tmp_path / "y.eeg"
         fileio.write_eeg(path, rec)
         raw = path.read_bytes()
@@ -274,7 +303,7 @@ class TestEeg:
         assert raw[8:12] == (1000).to_bytes(4, "little")
 
     def test_ragged_payload_rejected(self, tmp_path):
-        rec = SignalRecord(1000, np.zeros((3, 4)), ("a", "b", "c"))
+        rec = SignalRecord(1000, np.zeros((3, 4)))
         path = tmp_path / "z.eeg"
         fileio.write_eeg(path, rec)
         path.write_bytes(path.read_bytes()[:-2])
@@ -285,7 +314,7 @@ class TestEeg:
 class TestWav:
     def test_round_trip(self, tmp_path):
         x = 0.5 * np.sin(2 * np.pi * 440 * np.arange(1600) / 16000.0)
-        rec = SignalRecord(16000, x[None, :], ("mono",))
+        rec = SignalRecord(16000, x[None, :])
         path = tmp_path / "a.wav"
         fileio.write_wav(path, rec)
         loaded = fileio.read_wav(path)
@@ -303,7 +332,7 @@ class TestWav:
         """Nothing, a cut inside the RIFF or fmt header, or an odd byte
         short of the data chunk."""
         path = tmp_path / "a.wav"
-        fileio.write_wav(path, SignalRecord(16000, np.zeros((1, 50)), ("mono",)))
+        fileio.write_wav(path, SignalRecord(16000, np.zeros((1, 50))))
         raw = path.read_bytes()
         path.write_bytes(raw[:keep])
         with pytest.raises(FormatError):

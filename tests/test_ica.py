@@ -5,15 +5,14 @@ from scipy.optimize import linear_sum_assignment
 from scipy.signal import sawtooth
 
 from neurospeaker import ica
-from neurospeaker.core import SignalRecord, default_channel_labels, make_rng
+from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.errors import DegenerateInputError, InputError
 
 FS = 1000.0
 
 
 def record(samples, fs=FS):
-    samples = np.atleast_2d(samples)
-    return SignalRecord(fs, samples, default_channel_labels(samples.shape[0]))
+    return SignalRecord(fs, np.atleast_2d(samples))
 
 
 def best_assignment_correlations(true_sources, estimated):

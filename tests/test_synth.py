@@ -26,7 +26,7 @@ class TestCorpusShape:
     def test_counts_and_lengths(self):
         spec = SynthSpec(n_speakers=4, utterances_per_speaker=50, duration_s=2.0, seed=0)
         utts = generate_synthetic(SynthSpec(n_speakers=4, utterances_per_speaker=2, duration_s=2.0, seed=0))
-        assert spec.n_utterances == 200
+        assert spec.n_speakers * spec.utterances_per_speaker == 200
         assert len(utts) == 8
         for utt in utts:
             assert utt.audio.samples.shape == (1, 32000)
