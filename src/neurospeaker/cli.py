@@ -307,7 +307,7 @@ def cmd_eval(args) -> int:
             f"feature set has {dataset.n_speakers}"
         )
     stats = None
-    if "norm.mean" in extras and "norm.std" in extras:
+    if "norm.mean" in extras:  # read_checkpoint admits both or neither
         stats = FeatureStats(
             mean=extras["norm.mean"].astype(np.float64),
             std=extras["norm.std"].astype(np.float64),

@@ -2,8 +2,11 @@
 
 EEG: five statistics per channel per frame (RMS, zero-crossing rate, moving
 window average, excess kurtosis, normalized power spectral entropy), giving
-155 dimensions for a 31-channel montage. Audio: a standard 13-coefficient
-MFCC front end. Both streams run at a 100 Hz frame rate.
+155 dimensions for a 31-channel montage. Each signal is read once for the
+zero crossings (one prefix sum of sign changes per channel) and once for the
+spectra (one FFT per distinct half-frame segment start, shared by the frames
+that overlap it). Audio: a standard 13-coefficient MFCC front end. Both
+streams run at a 100 Hz frame rate.
 """
 from __future__ import annotations
 
@@ -92,47 +95,6 @@ def excess_kurtosis(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return var, live, np.where(live, kurtosis - 3.0, 0.0)
 
 
-def _feature_block(frames: np.ndarray) -> np.ndarray:
-    """[RMS, zero-crossing rate, moving-window average, excess kurtosis, spectral
-    entropy] of each (..., frame_length) window.
-
-    Zero-variance frames report kurtosis 0 and entropy 0 by convention.
-    """
-    x = np.asarray(frames, dtype=np.float64)
-    length = x.shape[-1]
-    if length < 2:
-        raise InputError(f"frames need at least 2 samples, got {length}")
-
-    rms = np.sqrt(np.mean(x * x, axis=-1))
-
-    signs = np.sign(x)
-    crossings = np.sum(signs[..., 1:] * signs[..., :-1] < 0, axis=-1)
-    zcr = crossings / length
-
-    w = min(MOVING_WINDOW, length)
-    csum = np.cumsum(x, axis=-1)
-    win_sums = np.concatenate(
-        [csum[..., w - 1 : w], csum[..., w:] - csum[..., : length - w]], axis=-1
-    )
-    mwa = np.mean(win_sums / w, axis=-1)
-
-    _, live, kurtosis = excess_kurtosis(x - np.mean(x, axis=-1, keepdims=True))
-
-    # Welch-style PSD (half-frame segments, 50% overlap, rectangular) keeps
-    # single-realization entropy close to the flat-spectrum maximum.
-    seg = max(2, length // 2)
-    hop = max(1, seg // 2)
-    segments = np.lib.stride_tricks.sliding_window_view(x, seg, axis=-1)[..., ::hop, :]
-    psd = np.sum(np.abs(np.fft.rfft(segments, axis=-1)) ** 2, axis=-2)
-    total = np.sum(psd, axis=-1, keepdims=True)
-    p = psd / np.where(total > 0, total, 1.0)
-    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    entropy = -np.sum(plogp, axis=-1) / math.log(psd.shape[-1])
-    entropy = np.where(live, entropy, 0.0)
-
-    return np.stack([rms, zcr, mwa, kurtosis, entropy], axis=-1)
-
-
 def _feature_hop(sample_rate_hz: float) -> int:
     """Samples between consecutive frames: the hop that gives ``FEATURE_RATE_HZ``."""
     hop = sample_rate_hz / FEATURE_RATE_HZ
@@ -144,21 +106,88 @@ def _feature_hop(sample_rate_hz: float) -> int:
     return int(hop)
 
 
+def _zero_crossings(x: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """(C, T) sign changes inside each ``length``-sample window of (C, N) ``x``.
+
+    One indicator per adjacent sample pair (a zero sample has no sign, so
+    its pairs never count), prefix-summed once per channel; a window's count
+    is the difference of two prefix sums.
+    """
+    signs = np.sign(x)
+    prefix = np.zeros(x.shape, dtype=np.int64)
+    np.cumsum(signs[:, 1:] * signs[:, :-1] < 0, axis=1, dtype=np.int64, out=prefix[:, 1:])
+    return prefix[:, starts + length - 1] - prefix[:, starts]
+
+
+def _welch_psd(x: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """(C, T, F) Welch-style PSD of each ``length``-sample window: half-frame
+    rectangular segments at 50 % overlap, their power spectra summed.
+
+    Neighbouring windows share segments, so each distinct segment start is
+    transformed once and its power gathered into every window that holds it.
+    """
+    seg = max(2, length // 2)
+    hop = max(1, seg // 2)
+    offsets = np.arange(0, length - seg + 1, hop)
+    distinct, which = np.unique(starts[:, None] + offsets[None, :], return_inverse=True)
+    which = which.reshape(len(starts), len(offsets))
+    segments = np.lib.stride_tricks.sliding_window_view(x, seg, axis=1)[:, distinct]
+    power = np.abs(np.fft.rfft(segments, axis=-1)) ** 2  # (C, U, F)
+    psd = power[:, which[:, 0]]
+    for j in range(1, len(offsets)):
+        psd += power[:, which[:, j]]
+    return psd
+
+
 def extract_eeg_features(
     clean_eeg: SignalRecord,
     frame_length: int = 100,
     utterance_id: str = "",
 ) -> FeatureSequence:
     """Per-frame concatenation of the five features over all 31 channels (155 dims),
-    from ``frame_length``-sample windows at the 100 Hz feature rate."""
+    from ``frame_length``-sample windows at the 100 Hz feature rate.
+
+    Per channel and frame: [RMS, zero-crossing rate, moving-window average,
+    excess kurtosis, normalized spectral entropy]. Zero-variance frames report
+    kurtosis 0 and entropy 0 by convention. Zero crossings and segment spectra
+    are read from the (C, N) signal; the other three statistics from a
+    (C, T, L) copy of the windows.
+    """
     if clean_eeg.channels != EEG_CHANNELS:
         raise DimensionError(
             f"expected {EEG_CHANNELS} EEG channels, got {clean_eeg.channels}"
         )
     spec = FrameSpec(frame_length, _feature_hop(clean_eeg.sample_rate_hz))
+    if frame_length < 2:
+        raise InputError(f"frames need at least 2 samples, got {frame_length}")
+    x = clean_eeg.samples
     windows = frame_signal(clean_eeg, spec)  # (C, T, L)
-    feats = _feature_block(windows)  # (C, T, 5)
-    frames = np.transpose(feats, (1, 0, 2)).reshape(feats.shape[1], -1)
+    starts = np.arange(windows.shape[1]) * spec.hop_length
+    feats = np.empty((windows.shape[1], EEG_CHANNELS, EEG_FEATURES_PER_CHANNEL))
+
+    feats[..., 0] = np.sqrt(np.mean(windows * windows, axis=-1)).T
+    feats[..., 1] = (_zero_crossings(x, starts, frame_length) / frame_length).T
+
+    w = min(MOVING_WINDOW, frame_length)
+    csum = np.cumsum(windows, axis=-1)
+    win_sums = np.concatenate(
+        [csum[..., w - 1 : w], csum[..., w:] - csum[..., : frame_length - w]], axis=-1
+    )
+    feats[..., 2] = np.mean(win_sums / w, axis=-1).T
+
+    _, live, kurtosis = excess_kurtosis(windows - np.mean(windows, axis=-1, keepdims=True))
+    feats[..., 3] = kurtosis.T
+
+    # Welch-style PSD keeps single-realization entropy close to the
+    # flat-spectrum maximum.
+    psd = _welch_psd(x, starts, frame_length)
+    total = np.sum(psd, axis=-1, keepdims=True)
+    p = psd / np.where(total > 0, total, 1.0)
+    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    entropy = -np.sum(plogp, axis=-1) / math.log(psd.shape[-1])
+    feats[..., 4] = np.where(live, entropy, 0.0).T
+
+    frames = feats.reshape(feats.shape[0], -1)
     return FeatureSequence(frames, FEATURE_RATE_HZ, Modality.EEG155, utterance_id)
 
 

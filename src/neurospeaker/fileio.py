@@ -314,6 +314,28 @@ PARAMETERS = (
 )
 
 
+# The input normalisation statistics ``train`` stores beside the parameters.
+NORM_EXTRAS = ("norm.mean", "norm.std")
+
+
+def _check_norm_extras(path, tensors, input_dim: int) -> None:
+    """Both or neither of ``norm.mean`` and ``norm.std``; each one finite value
+    per input dimension, and no negative standard deviation."""
+    present = [name for name in NORM_EXTRAS if name in tensors]
+    if not present:
+        return
+    if len(present) == 1:
+        raise FormatError(f"{path}: checkpoint has {present[0]} without its pair")
+    for name in NORM_EXTRAS:
+        array = tensors[name]
+        if array.shape != (input_dim,):
+            raise FormatError(f"{path}: {name} has shape {array.shape}, expected ({input_dim},)")
+        if not np.all(np.isfinite(array)):
+            raise FormatError(f"{path}: {name} holds non-finite values")
+    if np.any(tensors["norm.std"] < 0):
+        raise FormatError(f"{path}: norm.std holds negative values")
+
+
 def read_checkpoint(path: Path | str):
     """Returns (params, extra tensors, header dict). Weights come back float32.
     Tensors other than the ten parameters, such as ``norm.*``, are extras."""
@@ -324,6 +346,7 @@ def read_checkpoint(path: Path | str):
     if missing:
         raise FormatError(f"{path}: checkpoint missing tensors {missing}")
     _check_parameter_shapes(path, tensors, input_dim, n_speakers, tcn_width)
+    _check_norm_extras(path, tensors, input_dim)
     arrays = [tensors[name].copy() for name in PARAMETERS]
     params = ClassifierParams(
         TcnLayerParams(*arrays[:2]), GruLayerParams(*arrays[2:8]), DenseParams(*arrays[8:])

@@ -4,7 +4,9 @@ Replaces an interactive component-selection workflow with a deterministic
 chain: eigenvalue whitening, symmetric fixed-point FastICA (log-cosh
 contrast) with one component per channel, threshold-based component
 rejection, and inverse reconstruction with rejected components zeroed.
-:func:`fit_ica` is the one place that builds an :class:`IcaModel`.
+:func:`fit_ica` is the one place that builds an :class:`IcaModel`. The
+fixed-point loop writes its projections, their ``tanh`` and ``1 - tanh^2``
+into two (C, T) buffers allocated once per fit.
 """
 from __future__ import annotations
 
@@ -97,7 +99,7 @@ def whiten(eeg: SignalRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 def _symmetric_decorrelation(w: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(w @ w.T)
-    return eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T @ w
+    return (eigvecs * eigvals**-0.5) @ eigvecs.T @ w
 
 
 def fit_fastica(
@@ -111,12 +113,16 @@ def fit_fastica(
     """
     n_ch, n_samples = z.shape
     w = _symmetric_decorrelation(rng.standard_normal((n_ch, n_ch)))
+    g = np.empty(z.shape)  # projections w @ z, then their tanh
+    g_prime = np.empty(z.shape)  # 1 - tanh^2
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        projections = w @ z  # (C, T)
-        g = np.tanh(projections)
-        g_prime_mean = np.mean(1.0 - g * g, axis=1)
+        np.matmul(w, z, out=g)
+        np.tanh(g, out=g)
+        np.multiply(g, g, out=g_prime)
+        np.subtract(1.0, g_prime, out=g_prime)
+        g_prime_mean = np.mean(g_prime, axis=1)
         w_new = (g @ z.T) / n_samples - g_prime_mean[:, None] * w
         w_new = _symmetric_decorrelation(w_new)
         if not np.all(np.isfinite(w_new)):

@@ -2,9 +2,11 @@
 
 The fit eigendecomposes the double-centered Gram matrix; centering statistics
 are kept so out-of-sample vectors map consistently with the training
-projections. Eigenvalues are reported in variance units (Gram eigenvalues
-divided by n), so the projected training variance of component j equals
-``eigenvalues[j]`` exactly.
+projections. The Gram matrix and each transform block are centred in place,
+in the order ``- column means, - row means, + total mean``, so no n x n copy
+is made beside the kernel matrix itself. Eigenvalues are reported in variance
+units (Gram eigenvalues divided by n), so the projected training variance of
+component j equals ``eigenvalues[j]`` exactly.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, InputError, ReducedRankError
 
 EIGENVALUE_REL_TOL = 1e-9  # positive-eigenvalue cutoff relative to the largest
+TRANSFORM_CHUNK_ROWS = 4096  # query rows per kernel block in transform_frames
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,9 @@ def kernel_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return x @ y.T
     if spec.kind == "poly":
-        return (x @ y.T + spec.coef0) ** spec.degree
+        k = x @ y.T
+        k += spec.coef0
+        return np.power(k, spec.degree, out=k)
     gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
     sq = (
         np.sum(x * x, axis=1)[:, None]
@@ -87,9 +92,11 @@ def fit_kpca(x: np.ndarray, kernel: KernelSpec, n_components: int = 30) -> KpcaM
     gram = kernel_matrix(kernel, x, x)
     row_means = gram.mean(axis=0)
     total_mean = float(gram.mean())
-    centered = gram - row_means[None, :] - row_means[:, None] + total_mean
+    gram -= row_means[None, :]
+    gram -= row_means[:, None]
+    gram += total_mean
 
-    eigvals, eigvecs = np.linalg.eigh(centered)
+    eigvals, eigvecs = np.linalg.eigh(gram)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
     positive = eigvals > max(eigvals[0], 0.0) * EIGENVALUE_REL_TOL
@@ -114,7 +121,7 @@ def fit_kpca(x: np.ndarray, kernel: KernelSpec, n_components: int = 30) -> KpcaM
     )
 
 
-def transform_frames(model: KpcaModel, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def transform_frames(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     """Project rows of ``x`` onto the retained components: (T, d) -> (T, m)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -122,16 +129,14 @@ def transform_frames(model: KpcaModel, x: np.ndarray, chunk: int = 4096) -> np.n
             f"expected (*, {model.input_dim}) input, got {x.shape}"
         )
     out = np.empty((x.shape[0], model.n_components))
-    for start in range(0, x.shape[0], chunk):
-        block = x[start : start + chunk]
+    for start in range(0, x.shape[0], TRANSFORM_CHUNK_ROWS):
+        block = x[start : start + TRANSFORM_CHUNK_ROWS]
         k = kernel_matrix(model.kernel, block, model.support_vectors)
-        k_centered = (
-            k
-            - model.row_means[None, :]
-            - k.mean(axis=1, keepdims=True)
-            + model.total_mean
-        )
-        out[start : start + chunk] = k_centered @ model.alphas
+        block_means = k.mean(axis=1, keepdims=True)
+        k -= model.row_means[None, :]
+        k -= block_means
+        k += model.total_mean
+        out[start : start + TRANSFORM_CHUNK_ROWS] = k @ model.alphas
     return out
 
 

@@ -203,6 +203,27 @@ class TestStages:
         write_bad_checkpoint(path, name, array)
         assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
 
+    @pytest.mark.parametrize("bad", ["mean cut to 5", "std -1"])
+    def test_eval_checkpoint_with_unfitting_norm_exits_2(self, staged, tmp_path, capsys, bad):
+        """norm.* extras that do not fit the checkpoint's input fail as a
+        format error naming the file, not as a broadcast traceback or a
+        silently wrong normalisation."""
+        _, _, _, feats = staged
+        run = tmp_path / "run"
+        assert main(["train", "--features", str(feats), "--out", str(run),
+                     "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"]) == 0
+        params, extras, _ = fileio.read_checkpoint(run / "checkpoint.nspk")
+        if bad == "mean cut to 5":
+            extras["norm.mean"] = extras["norm.mean"][:5]
+        else:
+            extras["norm.std"] = np.full_like(extras["norm.std"], -1.0)
+        path = tmp_path / "bad.nspk"
+        fileio.write_checkpoint(path, params, extras)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "norm." in err
+
     def test_eval_checkpoint_with_adam_state_exits_0(self, staged, tmp_path):
         """Checkpoints written before optimiser state was dropped still evaluate."""
         _, _, _, feats = staged

@@ -9,10 +9,10 @@ from scipy import stats
 from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.errors import AlignmentError, DimensionError, InputError
 from neurospeaker.features import (
+    MOVING_WINDOW,
     FeatureSequence,
     Modality,
     MfccConfig,
-    _feature_block,
     compute_feature_stats,
     excess_kurtosis,
     extract_eeg_features,
@@ -23,9 +23,50 @@ from neurospeaker.features import (
 )
 
 
+def feature_block(frames):
+    """Oracle: [RMS, zero-crossing rate, moving-window average, excess kurtosis,
+    spectral entropy] of each (..., frame_length) window, computed window by
+    window from its own samples.
+
+    Zero-variance frames report kurtosis 0 and entropy 0 by convention.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    length = x.shape[-1]
+    if length < 2:
+        raise InputError(f"frames need at least 2 samples, got {length}")
+
+    rms = np.sqrt(np.mean(x * x, axis=-1))
+
+    signs = np.sign(x)
+    crossings = np.sum(signs[..., 1:] * signs[..., :-1] < 0, axis=-1)
+    zcr = crossings / length
+
+    w = min(MOVING_WINDOW, length)
+    csum = np.cumsum(x, axis=-1)
+    win_sums = np.concatenate(
+        [csum[..., w - 1 : w], csum[..., w:] - csum[..., : length - w]], axis=-1
+    )
+    mwa = np.mean(win_sums / w, axis=-1)
+
+    _, live, kurtosis = excess_kurtosis(x - np.mean(x, axis=-1, keepdims=True))
+
+    # Welch-style PSD: half-frame segments, 50% overlap, rectangular.
+    seg = max(2, length // 2)
+    hop = max(1, seg // 2)
+    segments = np.lib.stride_tricks.sliding_window_view(x, seg, axis=-1)[..., ::hop, :]
+    psd = np.sum(np.abs(np.fft.rfft(segments, axis=-1)) ** 2, axis=-2)
+    total = np.sum(psd, axis=-1, keepdims=True)
+    p = psd / np.where(total > 0, total, 1.0)
+    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+    entropy = -np.sum(plogp, axis=-1) / math.log(psd.shape[-1])
+    entropy = np.where(live, entropy, 0.0)
+
+    return np.stack([rms, zcr, mwa, kurtosis, entropy], axis=-1)
+
+
 def eeg_frame_features(frame):
     """Per-frame oracle: the five EEG features of one 1-D frame."""
-    return _feature_block(np.asarray(frame)[np.newaxis, :])[0]
+    return feature_block(np.asarray(frame)[np.newaxis, :])[0]
 
 
 class TestEegFrameFeatures:
@@ -130,6 +171,32 @@ class TestExtractEegFeatures:
         np.testing.assert_allclose(seq.frames[3, :5], eeg_frame_features(x[0, 15:65]), rtol=1e-6)
         with pytest.raises(InputError, match="250"):
             extract_eeg_features(SignalRecord(250.0, x), 50)
+
+    @pytest.mark.parametrize(
+        "rate_hz, n_samples, frame_length",
+        [(1000, 1000, 100), (1000, 2000, 37), (500, 500, 50), (200, 1003, 2), (1000, 1003, 11), (1000, 100, 100)],
+    )
+    def test_every_frame_equals_the_oracle_bit_for_bit(self, rate_hz, n_samples, frame_length):
+        """Zero crossings and segment spectra are read from the whole signal;
+        each (frame, channel) still carries exactly the oracle's float32
+        bits. Channel 0 is all zero, channel 1 constant, channel 2 has an
+        exact zero every 7th sample."""
+        x = make_rng(n_samples + frame_length).standard_normal((31, n_samples))
+        x[0] = 0.0
+        x[1] = -0.25
+        x[2, ::7] = 0.0
+        seq = extract_eeg_features(SignalRecord(float(rate_hz), x), frame_length)
+        hop = rate_hz // 100
+        n_frames = 1 + (n_samples - frame_length) // hop
+        assert seq.frames.shape == (n_frames, 155)
+        for t in range(n_frames):
+            windows = x[:, t * hop : t * hop + frame_length]
+            expected = feature_block(windows).astype(np.float32).reshape(-1)
+            np.testing.assert_array_equal(seq.frames[t].view(np.uint32), expected.view(np.uint32))
+
+    def test_frame_shorter_than_two_samples_rejected(self):
+        with pytest.raises(InputError, match="at least 2 samples"):
+            extract_eeg_features(SignalRecord(100.0, np.ones((31, 10))), 1)
 
     def test_matches_per_frame_operation(self):
         x = make_rng(5).standard_normal((31, 300))

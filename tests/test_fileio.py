@@ -32,6 +32,24 @@ def write_bad_checkpoint(path, name, array):
             fileio._write_tensor(fh, tensor_name, arr)
 
 
+def _with(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# norm.* extras that do not fit a 43-dim checkpoint.
+BAD_NORM_EXTRAS = {
+    "mean too short": {"norm.mean": np.zeros(5), "norm.std": np.ones(43)},
+    "std of rank 2": {"norm.mean": np.zeros(43), "norm.std": np.ones((43, 1))},
+    "mean NaN": {"norm.mean": _with(np.zeros(43), 3, np.nan), "norm.std": np.ones(43)},
+    "std inf": {"norm.mean": np.zeros(43), "norm.std": _with(np.ones(43), 0, np.inf)},
+    "std negative": {"norm.mean": np.zeros(43), "norm.std": _with(np.ones(43), 7, -1.0)},
+    "mean alone": {"norm.mean": np.zeros(43)},
+    "std alone": {"norm.std": np.ones(43)},
+}
+
+
 # Header values a corrupt file can carry that the record itself rejects:
 # (file kind, byte offset, replacement bytes).
 BAD_HEADER_VALUES = {
@@ -382,6 +400,7 @@ class TestCheckpoint:
         params = self._params()
         extras = {
             "norm.mean": np.arange(43, dtype=np.float64),
+            "norm.std": np.ones(43),
             "adam.step": np.array(12.0),
             "adam.m.tcn.biases": np.ones(8),
         }
@@ -436,6 +455,21 @@ class TestCheckpoint:
         write_bad_checkpoint(path, name, array)
         with pytest.raises(FormatError, match=name):
             fileio.read_checkpoint(path)
+
+    @pytest.mark.parametrize("extras", BAD_NORM_EXTRAS.values(), ids=BAD_NORM_EXTRAS.keys())
+    def test_norm_extras_not_fitting_the_input_rejected(self, tmp_path, extras):
+        path = tmp_path / "model.nspk"
+        fileio.write_checkpoint(path, self._params(), extras)
+        with pytest.raises(FormatError, match="norm") as err:
+            fileio.read_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_norm_extras_optional_and_zero_std_allowed(self, tmp_path):
+        path = tmp_path / "model.nspk"
+        fileio.write_checkpoint(path, self._params())
+        assert fileio.read_checkpoint(path)[1] == {}
+        fileio.write_checkpoint(path, self._params(), {"norm.mean": np.zeros(43), "norm.std": np.zeros(43)})
+        assert sorted(fileio.read_checkpoint(path)[1]) == ["norm.mean", "norm.std"]
 
     def test_undecodable_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "model.nspk"

@@ -7,6 +7,7 @@ from scipy.signal import sawtooth
 from neurospeaker import ica
 from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.errors import DegenerateInputError, InputError
+from neurospeaker.synth import SynthSpec, generate_synthetic
 
 FS = 1000.0
 
@@ -134,6 +135,60 @@ class TestFastIca:
         model = ica.fit_ica(record(mixing @ sources), rng=rng)
         assert model.converged is True
         assert 1 < model.n_iterations < 200
+
+
+def reference_fastica(z, rng, max_iter, tol):
+    """The fixed-point loop written with fresh arrays per step and the
+    decorrelation as a matmul with ``np.diag``: the form ``ica.fit_fastica``
+    must match bit for bit."""
+
+    def decorrelate(w):
+        eigvals, eigvecs = np.linalg.eigh(w @ w.T)
+        return eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T @ w
+
+    n_ch, n_samples = z.shape
+    w = decorrelate(rng.standard_normal((n_ch, n_ch)))
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        g = np.tanh(w @ z)
+        g_prime_mean = np.mean(1.0 - g * g, axis=1)
+        w_new = decorrelate((g @ z.T) / n_samples - g_prime_mean[:, None] * w)
+        delta = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
+        w = w_new
+        if delta < tol:
+            converged = True
+            break
+    return w, converged, iterations
+
+
+class TestFastIcaMatchesReference:
+    """Reused work buffers change no bit of the unmixing matrix, the
+    convergence flag or the iteration count."""
+
+    def _assert_same(self, z, seed, max_iter=200, tol=1e-5):
+        w, converged, iterations = ica.fit_fastica(z, make_rng(seed), max_iter, tol)
+        w_ref, converged_ref, iterations_ref = reference_fastica(z, make_rng(seed), max_iter, tol)
+        np.testing.assert_array_equal(w.view(np.uint64), w_ref.view(np.uint64))
+        assert (converged, iterations) == (converged_ref, iterations_ref)
+        return converged, iterations
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    def test_three_source_instances(self, seed):
+        sources, mixing, _ = three_source_instance(seed)
+        *_, z = ica.whiten(record(mixing @ sources))
+        assert self._assert_same(z, seed)[0]
+
+    def test_31_channel_synthetic_record(self):
+        eeg = generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=1, duration_s=0.5, seed=3))[0].eeg
+        *_, z = ica.whiten(eeg)
+        assert z.shape == (31, 500)
+        self._assert_same(z, 9)
+
+    def test_stopping_at_the_cap(self):
+        sources, mixing, _ = three_source_instance(5)
+        *_, z = ica.whiten(record(mixing @ sources))
+        assert self._assert_same(z, 5, max_iter=2) == (False, 2)
 
 
 class TestScoring:

@@ -109,14 +109,85 @@ class TestTransform:
         projections = kpca.training_projections(model)
         np.testing.assert_allclose(projections.mean(axis=0), 0.0, atol=1e-8)
 
-    def test_batch_transform_matches_vector_transform(self):
+    def test_batch_transform_matches_vector_transform(self, monkeypatch):
         x, model = self._model()
         rng = make_rng(8)
         queries = rng.standard_normal((7, 8))
-        batch = kpca.transform_frames(model, queries, chunk=3)
+        monkeypatch.setattr(kpca, "TRANSFORM_CHUNK_ROWS", 3)
+        batch = kpca.transform_frames(model, queries)
         for i in range(7):
             one_row = kpca.transform_frames(model, queries[i : i + 1])
             np.testing.assert_allclose(batch[i], one_row[0], atol=1e-10)
+
+
+def reference_kernel(spec, x, y):
+    """Each kernel as one expression on fresh arrays."""
+    if spec.kind == "linear":
+        return x @ y.T
+    if spec.kind == "poly":
+        return (x @ y.T + spec.coef0) ** spec.degree
+    gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
+    sq = np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ y.T) + np.sum(y * y, axis=1)[None, :]
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
+def reference_centering(k, row_means, total_mean):
+    """Double centring as one expression with a fresh result."""
+    return k - row_means[None, :] - k.mean(axis=1, keepdims=True) + total_mean
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(
+        np.asarray(actual, dtype=np.float64).view(np.uint64), np.asarray(expected).view(np.uint64)
+    )
+
+
+KERNELS = {
+    "linear": kpca.KernelSpec(kind="linear"),
+    "poly": kpca.KernelSpec(),
+    "poly degree 2": kpca.KernelSpec(degree=2, coef0=0.5),
+    "rbf": kpca.KernelSpec(kind="rbf"),
+}
+
+
+@pytest.mark.parametrize("spec", KERNELS.values(), ids=KERNELS.keys())
+class TestInPlaceCentringMatchesReference:
+    """Centring the Gram matrix and each transform block in place changes
+    no bit of the model or of the projections."""
+
+    def test_kernel_matrix_leaves_inputs_unchanged(self, spec):
+        rng = make_rng(20)
+        x, y = rng.standard_normal((40, 12)), rng.standard_normal((25, 12))
+        x0, y0 = x.copy(), y.copy()
+        assert_bits_equal(kpca.kernel_matrix(spec, x, y), reference_kernel(spec, x0, y0))
+        assert_bits_equal(x, x0)
+        assert_bits_equal(y, y0)
+
+    def test_fit_and_transform(self, spec):
+        rng = make_rng(21)
+        x = rng.standard_normal((80, 12))
+        model = kpca.fit_kpca(x, spec, n_components=6)
+
+        gram = reference_kernel(spec, x, x)
+        row_means = gram.mean(axis=0)
+        total_mean = float(gram.mean())
+        eigvals, eigvecs = np.linalg.eigh(gram - row_means[None, :] - row_means[:, None] + total_mean)
+        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+        positive = eigvals > max(eigvals[0], 0.0) * kpca.EIGENVALUE_REL_TOL
+        assert_bits_equal(model.row_means, row_means)
+        assert model.total_mean == total_mean
+        assert_bits_equal(model.alphas, eigvecs[:, :6] / np.sqrt(eigvals[:6])[None, :])
+        assert_bits_equal(model.eigenvalues, eigvals[:6] / 80)
+        assert model.total_positive_mass == float(np.sum(eigvals[positive]) / 80)
+
+        # more query rows than one transform block
+        queries = rng.standard_normal((kpca.TRANSFORM_CHUNK_ROWS + 5, 12))
+        expected = np.concatenate([
+            reference_centering(reference_kernel(spec, block, x), row_means, total_mean) @ model.alphas
+            for block in (queries[: kpca.TRANSFORM_CHUNK_ROWS], queries[kpca.TRANSFORM_CHUNK_ROWS :])
+        ])
+        assert_bits_equal(kpca.transform_frames(model, queries), expected)
 
 
 class TestExplainedVariance:
