@@ -156,12 +156,12 @@ def _load_corpus(in_dir: Path):
                 eeg=eeg,
             )
         )
-    return utterances, manifest, speakers
+    return utterances, manifest
 
 
 def cmd_preprocess(args) -> int:
     config = _load_run_config(args)
-    utterances, manifest, _ = _load_corpus(args.in_dir)
+    utterances, manifest = _load_corpus(args.in_dir)
     cleaned, report_rows = pipeline.preprocess_eeg(
         utterances, config.dsp_config(), config.ica_config(), config.seed
     )
@@ -188,7 +188,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_features(args) -> int:
     config = _load_run_config(args)
-    utterances, manifest, _ = _load_corpus(args.in_dir)
+    utterances, manifest = _load_corpus(args.in_dir)
     features = pipeline.extract_features(utterances, config.dsp_config(), config.mfcc_config())
     out = _ensure_dir(args.out)
     _ensure_dir(out / "mfcc13")
@@ -296,16 +296,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_run_config(args)
-    params, extras, header = fileio.read_checkpoint(args.checkpoint)
-    if header["input_dim"] not in TRAINABLE:
-        raise DimensionError(f"checkpoint input dim {header['input_dim']} matches no modality")
-    modality = TRAINABLE[header["input_dim"]]
+    params, extras, _ = fileio.read_checkpoint(args.checkpoint)
+    if params.input_dim not in TRAINABLE:
+        raise DimensionError(f"checkpoint input dim {params.input_dim} matches no modality")
+    modality = TRAINABLE[params.input_dim]
     dataset = _assemble_from_dir(args.features, config, modality)
-    if dataset.n_speakers != header["n_speakers"]:
-        raise DimensionError(
-            f"checkpoint was trained for {header['n_speakers']} speakers but the "
-            f"feature set has {dataset.n_speakers}"
-        )
     stats = None
     if "norm.mean" in extras:  # read_checkpoint admits both or neither
         stats = FeatureStats(
@@ -372,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, DimensionError) as exc:
+    except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FormatError, OSError) as exc:
@@ -381,9 +376,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except InputError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ rejected; command-line ``--set`` overrides file values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -17,6 +18,13 @@ from .ica import ArtifactThresholds
 from .kpca import KernelSpec
 from .pipeline import DspConfig, IcaConfig, KpcaConfig, TrainConfig
 from .synth import SynthSpec
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_epochs(text: str):
@@ -52,33 +60,33 @@ REGISTRY: tuple[ConfigKey, ...] = (
     # synthetic corpus
     ConfigKey("synth.n_speakers", int, "published", "speakers in the corpus (datasets had 4 and 8)", SynthSpec, "n_speakers"),
     ConfigKey("synth.utterances_per_speaker", int, "decision", "utterances generated per speaker", SynthSpec, "utterances_per_speaker"),
-    ConfigKey("synth.duration_s", float, "decision", "utterance duration in seconds", SynthSpec, "duration_s"),
-    ConfigKey("synth.separability", float, "decision", "speaker signature distance; 0 = chance-level corpus", SynthSpec, "separability"),
-    ConfigKey("synth.noise_db", float, "decision", "audio noise level relative to speech (dB)", SynthSpec, "noise_db"),
+    ConfigKey("synth.duration_s", _finite_float, "decision", "utterance duration in seconds", SynthSpec, "duration_s"),
+    ConfigKey("synth.separability", _finite_float, "decision", "speaker signature distance; 0 = chance-level corpus", SynthSpec, "separability"),
+    ConfigKey("synth.noise_db", _finite_float, "decision", "audio noise level relative to speech (dB)", SynthSpec, "noise_db"),
     # dsp
     ConfigKey("dsp.bandpass_order", int, "published", "IIR band-pass order", DspConfig, "bandpass_order"),
-    ConfigKey("dsp.bandpass_low_hz", float, "published", "band-pass low cutoff", DspConfig, "bandpass_low_hz"),
-    ConfigKey("dsp.bandpass_high_hz", float, "published", "band-pass high cutoff", DspConfig, "bandpass_high_hz"),
-    ConfigKey("dsp.notch_hz", float, "published", "power-line notch center", DspConfig, "notch_hz"),
-    ConfigKey("dsp.notch_q", float, "decision", "notch quality factor", DspConfig, "notch_q"),
+    ConfigKey("dsp.bandpass_low_hz", _finite_float, "published", "band-pass low cutoff", DspConfig, "bandpass_low_hz"),
+    ConfigKey("dsp.bandpass_high_hz", _finite_float, "published", "band-pass high cutoff", DspConfig, "bandpass_high_hz"),
+    ConfigKey("dsp.notch_hz", _finite_float, "published", "power-line notch center", DspConfig, "notch_hz"),
+    ConfigKey("dsp.notch_q", _finite_float, "decision", "notch quality factor", DspConfig, "notch_q"),
     ConfigKey("dsp.frame_length", int, "decision", "EEG feature window (samples at 1 kHz)", DspConfig, "frame_length"),
     # ica
     ConfigKey("ica.max_iter", int, "decision", "FastICA iteration cap", IcaConfig, "max_iter"),
-    ConfigKey("ica.tol", float, "decision", "FastICA convergence tolerance", IcaConfig, "tol"),
-    ConfigKey("ica.kurtosis_threshold", float, "decision", "reject |excess kurtosis| above this", ArtifactThresholds, "kurtosis"),
-    ConfigKey("ica.lowfreq_ratio_threshold", float, "decision", "reject low-frequency power ratio above this", ArtifactThresholds, "lowfreq_ratio"),
-    ConfigKey("ica.lowfreq_cutoff_hz", float, "decision", "low-frequency band edge for the ratio", ArtifactThresholds, "lowfreq_cutoff_hz"),
-    ConfigKey("ica.max_amplitude_z_threshold", float, "decision", "reject max-amplitude z-score above this", ArtifactThresholds, "max_amplitude_z"),
+    ConfigKey("ica.tol", _finite_float, "decision", "FastICA convergence tolerance", IcaConfig, "tol"),
+    ConfigKey("ica.kurtosis_threshold", _finite_float, "decision", "reject |excess kurtosis| above this", ArtifactThresholds, "kurtosis"),
+    ConfigKey("ica.lowfreq_ratio_threshold", _finite_float, "decision", "reject low-frequency power ratio above this", ArtifactThresholds, "lowfreq_ratio"),
+    ConfigKey("ica.lowfreq_cutoff_hz", _finite_float, "decision", "low-frequency band edge for the ratio", ArtifactThresholds, "lowfreq_cutoff_hz"),
+    ConfigKey("ica.max_amplitude_z_threshold", _finite_float, "decision", "reject max-amplitude z-score above this", ArtifactThresholds, "max_amplitude_z"),
     # features
-    ConfigKey("features.mfcc_window_ms", float, "decision", "MFCC analysis window", MfccConfig, "window_ms"),
+    ConfigKey("features.mfcc_window_ms", _finite_float, "decision", "MFCC analysis window", MfccConfig, "window_ms"),
     ConfigKey("features.mfcc_fft_size", int, "decision", "MFCC FFT size", MfccConfig, "fft_size"),
     ConfigKey("features.mfcc_filters", int, "decision", "mel filter count", MfccConfig, "n_filters"),
-    ConfigKey("features.mfcc_preemphasis", float, "decision", "pre-emphasis coefficient", MfccConfig, "preemphasis"),
+    ConfigKey("features.mfcc_preemphasis", _finite_float, "decision", "pre-emphasis coefficient", MfccConfig, "preemphasis"),
     # kpca
     ConfigKey("kpca.kernel", str, "decision", "kernel kind: linear, poly, or rbf", KernelSpec, "kind"),
     ConfigKey("kpca.degree", int, "decision", "polynomial kernel degree", KernelSpec, "degree"),
-    ConfigKey("kpca.coef0", float, "decision", "polynomial kernel offset", KernelSpec, "coef0"),
-    ConfigKey("kpca.gamma", float, "decision", "rbf width; 0 means 1/dim", KernelSpec, "gamma", none_as=0.0),
+    ConfigKey("kpca.coef0", _finite_float, "decision", "polynomial kernel offset", KernelSpec, "coef0"),
+    ConfigKey("kpca.gamma", _finite_float, "decision", "rbf width; 0 means 1/dim", KernelSpec, "gamma", none_as=0.0),
     ConfigKey("kpca.max_fit_frames", int, "decision", "training frames used to fit the kernel matrix", KpcaConfig, "max_fit_frames"),
     # nn / train
     ConfigKey("nn.tcn_filters", int, "published", "TCN filter count", TrainConfig, "tcn_filters"),
@@ -86,10 +94,10 @@ REGISTRY: tuple[ConfigKey, ...] = (
     ConfigKey("nn.gru_hidden", int, "published", "GRU hidden units", TrainConfig, "gru_hidden"),
     ConfigKey("train.epochs", _parse_epochs, "published", "epochs; auto = 300 (500 for 8 speakers)", TrainConfig, "epochs"),
     ConfigKey("train.batch_size", int, "published", "mini-batch size", TrainConfig, "batch_size"),
-    ConfigKey("train.learning_rate", float, "decision", "Adam learning rate (the optimizer's canonical default)", TrainConfig, "learning_rate"),
-    ConfigKey("train.beta1", float, "decision", "Adam beta1", TrainConfig, "beta1"),
-    ConfigKey("train.beta2", float, "decision", "Adam beta2", TrainConfig, "beta2"),
-    ConfigKey("train.epsilon", float, "decision", "Adam epsilon", TrainConfig, "epsilon"),
+    ConfigKey("train.learning_rate", _finite_float, "decision", "Adam learning rate (the optimizer's canonical default)", TrainConfig, "learning_rate"),
+    ConfigKey("train.beta1", _finite_float, "decision", "Adam beta1", TrainConfig, "beta1"),
+    ConfigKey("train.beta2", _finite_float, "decision", "Adam beta2", TrainConfig, "beta2"),
+    ConfigKey("train.epsilon", _finite_float, "decision", "Adam epsilon", TrainConfig, "epsilon"),
 )
 
 _BY_NAME = {key.name: key for key in REGISTRY}
@@ -171,8 +179,8 @@ def load_config(
     if path is not None:
         path = Path(path)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()

@@ -135,7 +135,7 @@ def split_dataset(
     for idx, label in enumerate(labels):
         if label < 0:
             raise InputError(f"negative speaker id {label}")
-        per_speaker.setdefault(label, []).append(idx)
+        per_speaker[label].append(idx)
     empty = [s for s in range(n_speakers) if not per_speaker[s]]
     if empty:
         raise InputError(f"speakers {empty} have no items")
@@ -149,13 +149,9 @@ def split_dataset(
         idxs = list(per_speaker[speaker])
         rng.shuffle(idxs)
         quotas = [len(idxs) * r for r in ratios]
-        floors = [int(np.floor(q)) for q in quotas]
-        if floors[0] == 0:  # every speaker must train
+        floors = [int(np.floor(q)) for q in quotas]  # sum <= len(idxs) at 0.8/0.1/0.1
+        if floors[0] == 0:  # a speaker's lone item trains
             floors[0] = 1
-        floors = [min(f, len(idxs)) for f in floors]
-        while sum(floors) > len(idxs):  # only reachable via the train bump
-            shrink = max((1, 2), key=lambda p: floors[p])
-            floors[shrink] -= 1
         cursor = 0
         for part, count in enumerate(floors):
             for idx in idxs[cursor : cursor + count]:

@@ -18,7 +18,7 @@ import numpy as np
 from .core import SignalRecord
 from .errors import DimensionError, FormatError, InputError
 from .features import FeatureSequence, Modality
-from .nn import ClassifierParams, DenseParams, GruLayerParams, TcnLayerParams
+from .nn import PARAMETERS, ClassifierParams, parameter_shapes
 
 FSEQ_MAGIC = b"FSEQ"
 EEG_MAGIC = b"EEGR"
@@ -277,41 +277,22 @@ def write_checkpoint(
             _write_tensor(fh, name, arr)
 
 
-def _check_parameter_shapes(path, tensors, input_dim: int, n_speakers: int, tcn_width: int):
-    """The header fixes the input width, speaker count and kernel width;
-    tcn.kernels and gru.w_update fix the filter count and hidden width.
-    Every parameter tensor must agree with them."""
-    kernels, w_update = tensors["tcn.kernels"], tensors["gru.w_update"]
-    if kernels.ndim != 3 or w_update.ndim != 2:
-        raise FormatError(f"{path}: tcn.kernels must have rank 3 and gru.w_update rank 2")
-    filters, hidden = kernels.shape[0], w_update.shape[0]
+def _check_parameter_shapes(
+    path, params: ClassifierParams, input_dim: int, n_speakers: int, tcn_width: int
+) -> None:
+    """The header fixes the input width, speaker count and kernel width; the
+    leading axes of the TCN kernels and GRU weights fix the filter count and
+    hidden width. Every parameter tensor must agree with them."""
+    for name, array in params.named_arrays():
+        if array.ndim == 0:
+            raise FormatError(f"{path}: {name} is a scalar")
+    filters, hidden = params.tcn.n_filters, params.gru.hidden
     if 0 in (input_dim, n_speakers, tcn_width, filters, hidden):
         raise FormatError(f"{path}: a layer of zero width")
-    gru_weights = (hidden, filters + hidden)
-    expected = {
-        "tcn.kernels": (filters, tcn_width, input_dim),
-        "tcn.biases": (filters,),
-        "gru.w_update": gru_weights,
-        "gru.w_reset": gru_weights,
-        "gru.w_cand": gru_weights,
-        "gru.b_update": (hidden,),
-        "gru.b_reset": (hidden,),
-        "gru.b_cand": (hidden,),
-        "dense.weights": (n_speakers, hidden),
-        "dense.biases": (n_speakers,),
-    }
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise FormatError(f"{path}: {name} has shape {tensors[name].shape}, expected {shape}")
-
-
-# The ten parameter tensors in ``ClassifierParams.named_arrays`` order.
-PARAMETERS = (
-    "tcn.kernels", "tcn.biases",
-    "gru.w_update", "gru.w_reset", "gru.w_cand",
-    "gru.b_update", "gru.b_reset", "gru.b_cand",
-    "dense.weights", "dense.biases",
-)
+    expected = parameter_shapes(input_dim, n_speakers, tcn_width, filters, hidden)
+    for name, array in params.named_arrays():
+        if array.shape != expected[name]:
+            raise FormatError(f"{path}: {name} has shape {array.shape}, expected {expected[name]}")
 
 
 # The input normalisation statistics ``train`` stores beside the parameters.
@@ -338,20 +319,17 @@ def _check_norm_extras(path, tensors, input_dim: int) -> None:
 
 def read_checkpoint(path: Path | str):
     """Returns (params, extra tensors, header dict). Weights come back float32.
-    Tensors other than the ten parameters, such as ``norm.*``, are extras."""
+    Tensors other than ``nn.PARAMETERS``, such as ``norm.*``, are extras."""
     with open(path, "rb") as fh:
         input_dim, n_speakers, tcn_width = _read_header(fh, path, CHECKPOINT_MAGIC, "<HIII")
         tensors = _read_tensors(fh, path)
     missing = [name for name in PARAMETERS if name not in tensors]
     if missing:
         raise FormatError(f"{path}: checkpoint missing tensors {missing}")
-    _check_parameter_shapes(path, tensors, input_dim, n_speakers, tcn_width)
+    params = ClassifierParams.from_arrays([tensors.pop(name).copy() for name in PARAMETERS])
+    _check_parameter_shapes(path, params, input_dim, n_speakers, tcn_width)
     _check_norm_extras(path, tensors, input_dim)
-    arrays = [tensors[name].copy() for name in PARAMETERS]
-    params = ClassifierParams(
-        TcnLayerParams(*arrays[:2]), GruLayerParams(*arrays[2:8]), DenseParams(*arrays[8:])
-    )
-    extras = {k: v.copy() for k, v in tensors.items() if k not in PARAMETERS}
+    extras = {k: v.copy() for k, v in tensors.items()}
     header_info = {"input_dim": input_dim, "n_speakers": n_speakers, "tcn_width": tcn_width}
     return params, extras, header_info
 
@@ -422,9 +400,9 @@ def format_percent(fraction: float) -> str:
 def write_comparison_table(
     txt_path: Path | str, csv_path: Path | str, accuracies: dict[str, float]
 ) -> None:
-    """Three-column accuracy table (MFCC, EEG, MFCC+EEG), percent, 2 decimals."""
-    columns = ["MFCC", "EEG", "MFCC+EEG"]
-    values = [format_percent(accuracies[c]) for c in columns]
+    """One column per entry of ``accuracies``, in its order: percent, 2 decimals."""
+    columns = list(accuracies)
+    values = [format_percent(a) for a in accuracies.values()]
     header = " | ".join(f"{c:>10}" for c in columns)
     line = " | ".join(f"{v:>10}" for v in values)
     Path(txt_path).write_text(

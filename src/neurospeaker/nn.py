@@ -26,7 +26,7 @@ for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,6 +84,15 @@ class DenseParams:
         return self.weights.shape[0]
 
 
+# The classifier's tensors, in ``named_arrays`` and checkpoint order.
+PARAMETERS = (
+    "tcn.kernels", "tcn.biases",
+    "gru.w_update", "gru.w_reset", "gru.w_cand",
+    "gru.b_update", "gru.b_reset", "gru.b_cand",
+    "dense.weights", "dense.biases",
+)
+
+
 @dataclass
 class ClassifierParams:
     tcn: TcnLayerParams
@@ -99,16 +108,32 @@ class ClassifierParams:
         return self.dense.n_out
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "tcn.kernels", self.tcn.kernels
-        yield "tcn.biases", self.tcn.biases
-        yield "gru.w_update", self.gru.w_update
-        yield "gru.w_reset", self.gru.w_reset
-        yield "gru.w_cand", self.gru.w_cand
-        yield "gru.b_update", self.gru.b_update
-        yield "gru.b_reset", self.gru.b_reset
-        yield "gru.b_cand", self.gru.b_cand
-        yield "dense.weights", self.dense.weights
-        yield "dense.biases", self.dense.biases
+        tcn, gru, dense = self.tcn, self.gru, self.dense
+        return zip(PARAMETERS, (
+            tcn.kernels, tcn.biases,
+            gru.w_update, gru.w_reset, gru.w_cand, gru.b_update, gru.b_reset, gru.b_cand,
+            dense.weights, dense.biases,
+        ))
+
+    @classmethod
+    def from_arrays(cls, arrays: Sequence[np.ndarray]) -> ClassifierParams:
+        """The parameters from their arrays in ``PARAMETERS`` order."""
+        return cls(
+            TcnLayerParams(*arrays[:2]), GruLayerParams(*arrays[2:8]), DenseParams(*arrays[8:])
+        )
+
+
+def parameter_shapes(
+    input_dim: int, n_speakers: int, tcn_width: int, tcn_filters: int, gru_hidden: int
+) -> dict[str, tuple[int, ...]]:
+    """The shape of each of ``PARAMETERS``, in that order."""
+    gru_weights = (gru_hidden, tcn_filters + gru_hidden)
+    return dict(zip(PARAMETERS, (
+        (tcn_filters, tcn_width, input_dim), (tcn_filters,),
+        gru_weights, gru_weights, gru_weights,
+        (gru_hidden,), (gru_hidden,), (gru_hidden,),
+        (n_speakers, gru_hidden), (n_speakers,),
+    )))
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -126,26 +151,15 @@ def init_classifier(
     gru_hidden: int = 128,
     dtype=np.float32,
 ) -> ClassifierParams:
-    """Seeded Glorot-uniform weights, zero biases. Draw order is fixed."""
+    """Seeded Glorot-uniform weight matrices and kernels, zero biases, drawn
+    in ``PARAMETERS`` order."""
     if n_speakers < 2:
         raise InputError(f"need at least 2 speakers, got {n_speakers}")
-    tcn = TcnLayerParams(
-        kernels=_glorot(rng, (tcn_filters, tcn_width, input_dim), dtype),
-        biases=np.zeros(tcn_filters, dtype=dtype),
-    )
-    gru = GruLayerParams(
-        w_update=_glorot(rng, (gru_hidden, tcn_filters + gru_hidden), dtype),
-        w_reset=_glorot(rng, (gru_hidden, tcn_filters + gru_hidden), dtype),
-        w_cand=_glorot(rng, (gru_hidden, tcn_filters + gru_hidden), dtype),
-        b_update=np.zeros(gru_hidden, dtype=dtype),
-        b_reset=np.zeros(gru_hidden, dtype=dtype),
-        b_cand=np.zeros(gru_hidden, dtype=dtype),
-    )
-    dense = DenseParams(
-        weights=_glorot(rng, (n_speakers, gru_hidden), dtype),
-        biases=np.zeros(n_speakers, dtype=dtype),
-    )
-    return ClassifierParams(tcn=tcn, gru=gru, dense=dense)
+    shapes = parameter_shapes(input_dim, n_speakers, tcn_width, tcn_filters, gru_hidden)
+    return ClassifierParams.from_arrays([
+        _glorot(rng, shape, dtype) if len(shape) > 1 else np.zeros(shape, dtype=dtype)
+        for shape in shapes.values()
+    ])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

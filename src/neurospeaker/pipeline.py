@@ -255,15 +255,9 @@ def reduce_eeg(
 
 
 def modality_sequence(streams: dict[str, FeatureSequence], modality: Modality) -> FeatureSequence:
-    if modality is Modality.MFCC13:
-        return streams["mfcc13"]
-    if modality is Modality.EEG155:
-        return streams["eeg155"]
-    if modality is Modality.EEG30:
-        return streams["eeg30"]
     if modality is Modality.FUSED43:
         return fuse(streams["mfcc13"], streams["eeg30"])
-    raise InputError(f"unsupported modality {modality}")
+    return streams[modality.name.lower()]
 
 
 def split_utterances(

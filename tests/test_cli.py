@@ -314,6 +314,21 @@ class TestExitCodes:
     def test_unknown_config_key_exits_3(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x"), "--set", "no.such=1"]) == 1 + 2
 
+    @pytest.mark.parametrize("assignment", [
+        "synth.duration_s=nan", "synth.duration_s=inf", "synth.separability=nan",
+        "dsp.notch_q=nan", "train.learning_rate=-inf",
+    ])
+    def test_non_finite_config_value_exits_3(self, tmp_path, capsys, assignment):
+        assert main(["synth", "--out", str(tmp_path / "x"), "--set", assignment]) == 3
+        assert not (tmp_path / "x").exists()  # rejected before any work
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exits_3(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"\xff\xfeseed=3\n")
+        assert main(["synth", "--out", str(tmp_path / "x"), "-c", str(conf)]) == 3
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["preprocess", "--in", str(tmp_path / "void"), "--out", str(tmp_path / "o")]) == 2
 

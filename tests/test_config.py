@@ -167,3 +167,20 @@ def test_retired_key_rejected_even_at_its_old_default(tmp_path, name, old_defaul
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(path)
     assert name not in registry_help()
+
+
+FLOAT_KEYS = [key for key in REGISTRY if isinstance(key.default, float)]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e400"])
+@pytest.mark.parametrize("key", FLOAT_KEYS, ids=lambda key: key.name)
+def test_non_finite_float_rejected(key, raw):
+    with pytest.raises(ConfigError, match=key.name):
+        load_config(overrides=[f"{key.name}={raw}"])
+
+
+def test_non_utf8_config_file_rejected(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_bytes(b"\xffseed=3\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(path)

@@ -22,6 +22,16 @@ BAD_TENSORS = [
 ]
 
 
+# The tensors whose leading axes give the filter count and hidden width, at
+# ranks the checkpoint layout does not allow.
+WRONG_RANK_TENSORS = [
+    ("tcn.kernels", np.array(1.0)),
+    ("tcn.kernels", np.zeros((4, 3 * 43))),
+    ("gru.w_update", np.array(1.0)),
+    ("gru.w_update", np.zeros(4 * 8)),
+]
+
+
 def write_bad_checkpoint(path, name, array):
     """A valid 43-dim, 4-speaker checkpoint except that tensor ``name`` is
     ``array``; write_checkpoint itself cannot write a misshapen parameter."""
@@ -456,6 +466,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=name):
             fileio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("name, array", WRONG_RANK_TENSORS, ids=lambda v: getattr(v, "shape", v))
+    def test_parameter_of_wrong_rank_rejected(self, tmp_path, name, array):
+        path = tmp_path / "model.nspk"
+        write_bad_checkpoint(path, name, array)
+        with pytest.raises(FormatError, match=name):
+            fileio.read_checkpoint(path)
+
     @pytest.mark.parametrize("extras", BAD_NORM_EXTRAS.values(), ids=BAD_NORM_EXTRAS.keys())
     def test_norm_extras_not_fitting_the_input_rejected(self, tmp_path, extras):
         path = tmp_path / "model.nspk"
@@ -529,6 +546,14 @@ class TestReports:
         csv_lines = csv_path.read_text().strip().splitlines()
         assert csv_lines[0] == "MFCC,EEG,MFCC+EEG"
         assert csv_lines[1] == "45.56,43.33,56.11"
+
+    def test_comparison_table_follows_the_given_columns(self, tmp_path):
+        txt, csv_path = tmp_path / "t.txt", tmp_path / "t.csv"
+        fileio.write_comparison_table(txt, csv_path, {"EEG": 0.5, "MFCC": 0.25})
+        header, _, values = txt.read_text().strip().splitlines()
+        assert [c.strip() for c in header.split("|")] == ["EEG", "MFCC"]
+        assert [v.strip() for v in values.split("|")] == ["50.00", "25.00"]
+        assert csv_path.read_text().splitlines() == ["EEG,MFCC", "50.00,25.00"]
 
     def test_svg_renders_polylines(self, tmp_path):
         path = tmp_path / "curves.svg"

@@ -443,6 +443,60 @@ class TestDeterminism:
             np.testing.assert_array_equal(x, y)
 
 
+def explicit_init_classifier(input_dim, n_speakers, rng, tcn_filters, tcn_width, gru_hidden, dtype):
+    """The classifier initialisation written out layer by layer: Glorot
+    draws for the TCN kernels, the three GRU weight matrices and the dense
+    weights, in that order, and zero biases."""
+    def glorot(shape):
+        fan_out, fan_in = shape[0], int(np.prod(shape[1:]))
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+    gru_weights = (gru_hidden, tcn_filters + gru_hidden)
+    return {
+        "tcn.kernels": glorot((tcn_filters, tcn_width, input_dim)),
+        "tcn.biases": np.zeros(tcn_filters, dtype=dtype),
+        "gru.w_update": glorot(gru_weights),
+        "gru.w_reset": glorot(gru_weights),
+        "gru.w_cand": glorot(gru_weights),
+        "gru.b_update": np.zeros(gru_hidden, dtype=dtype),
+        "gru.b_reset": np.zeros(gru_hidden, dtype=dtype),
+        "gru.b_cand": np.zeros(gru_hidden, dtype=dtype),
+        "dense.weights": glorot((n_speakers, gru_hidden)),
+        "dense.biases": np.zeros(n_speakers, dtype=dtype),
+    }
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tcn_width", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_init_equals_explicit_layer_by_layer_init(self, seed, tcn_width, dtype):
+        dims = dict(tcn_filters=6, tcn_width=tcn_width, gru_hidden=5)
+        params = nn.init_classifier(43, 4, make_rng(seed), dtype=dtype, **dims)
+        expected = explicit_init_classifier(43, 4, make_rng(seed), dtype=dtype, **dims)
+        names = [name for name, _ in params.named_arrays()]
+        assert names == list(expected)
+        for name, arr in params.named_arrays():
+            assert arr.dtype == dtype
+            assert arr.tobytes() == expected[name].tobytes(), name
+
+    def test_named_arrays_yields_parameters_in_order(self):
+        assert [name for name, _ in small_params(1).named_arrays()] == list(nn.PARAMETERS)
+
+    def test_parameter_shapes_match_initialised_shapes(self):
+        params = nn.init_classifier(13, 3, make_rng(2), tcn_filters=4, tcn_width=2, gru_hidden=7)
+        shapes = nn.parameter_shapes(13, 3, tcn_width=2, tcn_filters=4, gru_hidden=7)
+        assert list(shapes) == list(nn.PARAMETERS)
+        assert {name: arr.shape for name, arr in params.named_arrays()} == shapes
+
+    def test_from_arrays_inverts_named_arrays(self):
+        params = small_params(3)
+        rebuilt = nn.ClassifierParams.from_arrays([arr for _, arr in params.named_arrays()])
+        for (name, a), (_, b) in zip(params.named_arrays(), rebuilt.named_arrays()):
+            assert a is b, name
+
+
 class TestPadBatch:
     def test_shapes_and_lengths(self):
         seqs = [np.ones((4, 3)), np.ones((7, 3)), np.ones((2, 3))]
