@@ -200,6 +200,20 @@ class MfccConfig:
     preemphasis: float = 0.97
     log_floor: float = 1e-10
 
+    def __post_init__(self):
+        # What extract_mfcc would reject only after synthesis, rejected here.
+        hop = _feature_hop(self.sample_rate_hz)
+        if self.frame_length < hop:
+            raise InputError(
+                f"MFCC window of {self.window_ms:g} ms ({self.frame_length} samples)"
+                f" is shorter than the {hop}-sample hop"
+            )
+        if self.fft_size < 1 or self.n_filters < 1:
+            raise InputError(
+                f"need fft_size >= 1 and n_filters >= 1, got {self.fft_size} and {self.n_filters}"
+            )
+        mel_filterbank(self.n_filters, self.fft_size, self.sample_rate_hz)
+
     @property
     def frame_length(self) -> int:
         return int(round(self.sample_rate_hz * self.window_ms / 1000.0))

@@ -6,8 +6,8 @@ distance from the shared base grows with ``separability``. At separability 0
 every speaker draws from the same distribution, so no classifier can beat
 chance by construction.
 
-scipy is loaded here only, by ``_resonate`` on the first synthesis, so
-importing the package or running any other command loads no scipy module.
+scipy.signal is loaded here only, by ``_resonate`` on the first synthesis,
+so importing the package loads no scipy module.
 """
 from __future__ import annotations
 
@@ -33,6 +33,10 @@ POWERLINE_HZ = 60.0
 POWERLINE_AMPLITUDE = 4.0
 PINK_NOISE_RMS = 0.25
 MIXING_SCALE = 0.3
+# Past 300 dB (an amplitude ratio of 1e15) the weaker of speech and noise sits
+# below float64 resolution of the stronger, and 10 ** (noise_db / 20)
+# overflows from about 6,165 dB.
+NOISE_DB_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,10 @@ class SynthSpec:
             raise InputError(f"duration must be positive, got {self.duration_s}")
         if self.separability < 0:
             raise InputError(f"separability must be >= 0, got {self.separability}")
+        if not abs(self.noise_db) <= NOISE_DB_LIMIT:
+            raise InputError(
+                f"noise_db must lie within +-{NOISE_DB_LIMIT:g} dB, got {self.noise_db}"
+            )
 
 
 @dataclass

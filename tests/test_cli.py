@@ -323,6 +323,18 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()  # rejected before any work
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, assignment", [
+        ("synth", "synth.noise_db=1e300"),
+        ("synth", "synth.noise_db=-1e300"),
+        ("synth", "features.mfcc_window_ms=0"),
+        ("experiment", "features.mfcc_window_ms=0"),
+        ("experiment", "features.mfcc_filters=0"),
+    ])
+    def test_out_of_range_config_value_exits_3(self, tmp_path, capsys, command, assignment):
+        assert main([command, "--out", str(tmp_path / "x"), "--set", assignment]) == 3
+        assert not (tmp_path / "x").exists()  # rejected before any work
+        assert "config error" in capsys.readouterr().err
+
     def test_non_utf8_config_file_exits_3(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_bytes(b"\xff\xfeseed=3\n")

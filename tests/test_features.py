@@ -249,6 +249,24 @@ class TestMfcc:
         seq = extract_mfcc(self._audio(np.zeros(32000)))
         assert seq.n_frames == 1 + (32000 - 400) // 160  # 198
 
+    @pytest.mark.parametrize("settings", [
+        {"window_ms": 0.0},
+        {"window_ms": 9.9},  # 158 samples, under the 160-sample hop
+        {"window_ms": -25.0},
+        {"fft_size": 0},
+        {"fft_size": 16},  # leaves the lowest mel filters without a bin
+        {"n_filters": 0},
+        {"n_filters": -1},
+        {"sample_rate_hz": 16050},  # not a whole multiple of the frame rate
+    ])
+    def test_config_rejects_what_extraction_cannot_run(self, settings):
+        with pytest.raises(InputError):
+            MfccConfig(**settings)
+
+    def test_window_of_one_hop_is_accepted(self):
+        seq = extract_mfcc(self._audio(np.zeros(1600)), MfccConfig(window_ms=10.0))
+        assert seq.n_frames == 10
+
 
 class TestMelFilterbank:
     def test_filters_cover_spectrum(self):

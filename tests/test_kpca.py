@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,6 +193,73 @@ class TestInPlaceCentringMatchesReference:
             for block in (queries[: kpca.TRANSFORM_CHUNK_ROWS], queries[kpca.TRANSFORM_CHUNK_ROWS :])
         ])
         assert_bits_equal(kpca.transform_frames(model, queries), expected)
+
+
+@pytest.mark.parametrize("spec", KERNELS.values(), ids=KERNELS.keys())
+def test_fit_matches_numpy_eigh_at_pipeline_scale(spec):
+    """At the pipeline's input width, the eigensolve on the Gram matrix's own
+    buffer gives the bits np.linalg.eigh gives on the same centred matrix,
+    although scipy and numpy may each bundle their own LAPACK build."""
+    n, m = 500, 30
+    x = make_rng(22).standard_normal((n, 155))
+    model = kpca.fit_kpca(x, spec, n_components=m)
+
+    gram = reference_kernel(spec, x, x)
+    row_means = gram.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(gram - row_means[None, :] - row_means[:, None] + gram.mean())
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    positive = eigvals > max(eigvals[0], 0.0) * kpca.EIGENVALUE_REL_TOL
+    assert model.alphas.flags.c_contiguous
+    assert_bits_equal(model.alphas, eigvecs[:, :m] / np.sqrt(eigvals[:m])[None, :])
+    assert_bits_equal(model.eigenvalues, eigvals[:m] / n)
+    assert model.total_positive_mass == float(np.sum(eigvals[positive]) / n)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_mirror_lower_copies_the_lower_triangle_up(n):
+    a = make_rng(23).standard_normal((n, n))
+    expected = np.tril(a) + np.tril(a, -1).T
+    kpca._mirror_lower(a)
+    assert_bits_equal(a, expected)
+
+
+MEMORY_PROBE = """
+import sys
+import numpy as np
+import scipy.linalg  # a fixed cost, apart from the n x n one measured here
+from neurospeaker import kpca
+
+def status_bytes(field):
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) * 1024
+
+n = int(sys.argv[1])
+x = np.random.default_rng(0).standard_normal((n, 155))
+before = status_bytes("VmRSS")
+kpca.fit_kpca(x, kpca.KernelSpec(), n_components=30)
+print((status_bytes("VmHWM") - before) / (8 * n * n))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_fit_peak_memory_is_one_gram_plus_lapack_workspace():
+    """The fit holds the n x n Gram matrix and LAPACK dsyevd's 2 n^2 workspace,
+    about 3.5 n^2 doubles of peak growth in all. A copy of the Gram matrix or
+    a separate eigenvector array adds n^2 each (np.linalg.eigh: about 5.4).
+    tracemalloc cannot see LAPACK's buffers, and a child's ru_maxrss starts
+    at its launcher's peak, so the probe reads its own resident peak (VmHWM)
+    in a fresh interpreter."""
+    n = 1500
+    src = str(Path(kpca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, str(n)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    growth = float(done.stdout)
+    assert growth < 4.5, f"peak grew by {growth:.2f} n^2 doubles"
 
 
 class TestExplainedVariance:

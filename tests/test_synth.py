@@ -3,7 +3,7 @@ import pytest
 
 from neurospeaker import dsp
 from neurospeaker.errors import InputError
-from neurospeaker.synth import SynthSpec, generate_synthetic, speaker_profiles
+from neurospeaker.synth import NOISE_DB_LIMIT, SynthSpec, generate_synthetic, speaker_profiles
 
 
 def spectral_peak_db(x, fs, freq, width=2.0):
@@ -43,6 +43,15 @@ class TestCorpusShape:
             SynthSpec(separability=-0.5)
         with pytest.raises(InputError):
             SynthSpec(duration_s=0.0)
+        for noise_db in (1e300, -301.0, float("nan")):
+            with pytest.raises(InputError, match="noise_db"):
+                SynthSpec(noise_db=noise_db)
+
+    def test_noise_db_at_its_limits_synthesises(self):
+        for noise_db in (-NOISE_DB_LIMIT, NOISE_DB_LIMIT):
+            spec = SynthSpec(n_speakers=2, utterances_per_speaker=1, duration_s=0.1, noise_db=noise_db)
+            for utt in generate_synthetic(spec):
+                assert np.all(np.isfinite(utt.audio.samples))
 
 
 class TestDeterminism:
