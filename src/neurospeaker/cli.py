@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .features import FeatureSequence, FeatureStats, Modality
-from .synth import generate_synthetic
+from .synth import AUDIO_RATE_HZ, EEG_RATE_HZ, generate_synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -326,8 +326,26 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_windows_fit(config: RunConfig) -> None:
+    """Reject a feature window longer than the recordings ``experiment`` would
+    synthesize, before any synthesis or output directory. Staged commands
+    read recordings of any length, so ``load_config`` cannot check this."""
+    spec = config.synth_spec()
+    for key, window, rate in (
+        ("features.mfcc_window_ms", config.mfcc_config().frame_length, AUDIO_RATE_HZ),
+        ("dsp.frame_length", config.dsp_config().frame_length, EEG_RATE_HZ),
+    ):
+        n_samples = spec.samples_at(rate)
+        if window > n_samples:
+            raise ConfigError(
+                f"{key} gives a {window}-sample window, longer than the {n_samples}-sample"
+                f" recordings of synth.duration_s={spec.duration_s:g}"
+            )
+
+
 def cmd_experiment(args) -> int:
     config = _load_run_config(args)
+    _check_windows_fit(config)
     out = _ensure_dir(args.out)
     result = pipeline.run_experiment(
         config.synth_spec(),

@@ -2,11 +2,12 @@
 
 EEG: five statistics per channel per frame (RMS, zero-crossing rate, moving
 window average, excess kurtosis, normalized power spectral entropy), giving
-155 dimensions for a 31-channel montage. Each signal is read once for the
-zero crossings (one prefix sum of sign changes per channel) and once for the
-spectra (one FFT per distinct half-frame segment start, shared by the frames
-that overlap it). Audio: a standard 13-coefficient MFCC front end. Both
-streams run at a 100 Hz frame rate.
+155 dimensions for a 31-channel montage, computed a few channels at a time.
+Each signal is read once for the zero crossings (one prefix sum of sign
+changes per channel) and once for the spectra (one FFT per distinct
+half-frame segment start, shared by the frames that overlap it). Audio: a
+standard 13-coefficient MFCC front end. Both streams run at a 100 Hz frame
+rate.
 """
 from __future__ import annotations
 
@@ -24,6 +25,9 @@ EEG_CHANNELS = 31
 EEG_FEATURES_PER_CHANNEL = 5
 FEATURE_RATE_HZ = 100
 MOVING_WINDOW = 10  # samples per sub-window of the moving-window average
+# Channels whose EEG155 statistics are computed together: at 2,000 samples a
+# block's (channels, frames, frame_length) windows take 0.6 MB, not 4.7 MB.
+EEG_CHANNEL_BLOCK = 4
 
 
 class Modality(enum.IntEnum):
@@ -149,9 +153,9 @@ def extract_eeg_features(
 
     Per channel and frame: [RMS, zero-crossing rate, moving-window average,
     excess kurtosis, normalized spectral entropy]. Zero-variance frames report
-    kurtosis 0 and entropy 0 by convention. Zero crossings and segment spectra
-    are read from the (C, N) signal; the other three statistics from a
-    (C, T, L) copy of the windows.
+    kurtosis 0 and entropy 0 by convention. Every statistic is per channel,
+    so channels are taken ``EEG_CHANNEL_BLOCK`` at a time and the working
+    arrays stay a fraction of the recording's size.
     """
     if clean_eeg.channels != EEG_CHANNELS:
         raise DimensionError(
@@ -160,23 +164,39 @@ def extract_eeg_features(
     spec = FrameSpec(frame_length, _feature_hop(clean_eeg.sample_rate_hz))
     if frame_length < 2:
         raise InputError(f"frames need at least 2 samples, got {frame_length}")
-    x = clean_eeg.samples
-    windows = frame_signal(clean_eeg, spec)  # (C, T, L)
-    starts = np.arange(windows.shape[1]) * spec.hop_length
-    feats = np.empty((windows.shape[1], EEG_CHANNELS, EEG_FEATURES_PER_CHANNEL))
+    n_frames = spec.n_frames(clean_eeg.n_samples)
+    feats = np.empty((n_frames, EEG_CHANNELS, EEG_FEATURES_PER_CHANNEL))
+    for lo in range(0, EEG_CHANNELS, EEG_CHANNEL_BLOCK):
+        block = SignalRecord(
+            clean_eeg.sample_rate_hz, clean_eeg.samples[lo : lo + EEG_CHANNEL_BLOCK]
+        )
+        _channel_features(block, spec, feats[:, lo : lo + EEG_CHANNEL_BLOCK])
+    frames = feats.reshape(n_frames, -1)
+    return FeatureSequence(frames, FEATURE_RATE_HZ, Modality.EEG155, utterance_id)
 
-    feats[..., 0] = np.sqrt(np.mean(windows * windows, axis=-1)).T
-    feats[..., 1] = (_zero_crossings(x, starts, frame_length) / frame_length).T
+
+def _channel_features(eeg: SignalRecord, spec: FrameSpec, out: np.ndarray) -> None:
+    """The five statistics of every channel of ``eeg`` into (T, C, 5) ``out``.
+
+    Zero crossings and segment spectra are read from the (C, N) signal; the
+    other three statistics from a (C, T, L) copy of the windows.
+    """
+    x, frame_length = eeg.samples, spec.frame_length
+    windows = frame_signal(eeg, spec)  # (C, T, L)
+    starts = np.arange(windows.shape[1]) * spec.hop_length
+
+    out[..., 0] = np.sqrt(np.mean(windows * windows, axis=-1)).T
+    out[..., 1] = (_zero_crossings(x, starts, frame_length) / frame_length).T
 
     w = min(MOVING_WINDOW, frame_length)
     csum = np.cumsum(windows, axis=-1)
     win_sums = np.concatenate(
         [csum[..., w - 1 : w], csum[..., w:] - csum[..., : frame_length - w]], axis=-1
     )
-    feats[..., 2] = np.mean(win_sums / w, axis=-1).T
+    out[..., 2] = np.mean(win_sums / w, axis=-1).T
 
     _, live, kurtosis = excess_kurtosis(windows - np.mean(windows, axis=-1, keepdims=True))
-    feats[..., 3] = kurtosis.T
+    out[..., 3] = kurtosis.T
 
     # Welch-style PSD keeps single-realization entropy close to the
     # flat-spectrum maximum.
@@ -185,10 +205,7 @@ def extract_eeg_features(
     p = psd / np.where(total > 0, total, 1.0)
     plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     entropy = -np.sum(plogp, axis=-1) / math.log(psd.shape[-1])
-    feats[..., 4] = np.where(live, entropy, 0.0).T
-
-    frames = feats.reshape(feats.shape[0], -1)
-    return FeatureSequence(frames, FEATURE_RATE_HZ, Modality.EEG155, utterance_id)
+    out[..., 4] = np.where(live, entropy, 0.0).T
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,19 @@ Runs are deterministic: every stochastic step draws from a generator derived
 from the root seed and a stage label. EEG filtering runs on blocks of
 equal-length recordings stacked row-wise, and each block is filtered once
 through the band-pass + notch cascade (each row is filtered on its own, so a
-block gives the same bits as one recording at a time); ICA, rejection and
-features run per utterance, one after another. One seeded split
+block gives the same bits as one recording at a time). ICA, rejection and
+features run per utterance; when OpenBLAS is pinned to one thread, the
+utterances are spread over the usable CPUs (``_ordered_map``), and since each
+draws from its own generator and results are gathered in corpus order, the
+bytes are those of one utterance after another. One seeded split
 (``split_utterances``) serves the KPCA fit and every modality.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +42,9 @@ from .synth import SynthSpec, Utterance, generate_synthetic
 # Rows (channels of all recordings) filtered together in one block: 33
 # 31-channel recordings, about 16 MB of float64 at 2000 samples each.
 FILTER_BLOCK_ROWS = 1024
+
+# The environment variables OpenBLAS reads its thread count from, in order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -129,6 +138,80 @@ def check_dimension_contracts(n_speakers: int) -> None:
         raise DimensionError(f"need at least 2 speakers, got {n_speakers}")
 
 
+def _map_width() -> int:
+    """How many utterances run at once: every usable CPU when OpenBLAS runs
+    one thread, otherwise 1.
+
+    OpenBLAS takes its thread count from the first of ``BLAS_THREAD_VARS``
+    that holds a positive integer, and from the CPU count when none does.
+    With more than one BLAS thread, concurrent BLAS callers queue on
+    OpenBLAS's thread server and together run slower than one at a time.
+    """
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return _usable_cpus() if threads == 1 else 1
+    return 1
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ordered_map(fn: Callable, items: list) -> list:
+    """``[fn(item) for item in items]`` on up to ``_map_width()`` threads.
+
+    The calling thread is one of them, so ``width - 1`` threads start (none
+    at width 1). Each allocating thread gets a malloc arena that keeps the
+    memory it frees; a pool beside an idle caller raised the frontend
+    benchmark's peak RSS by 5 %, and this map by 0.3 %.
+
+    Items are taken in order, so when an item fails, every earlier item has
+    already been taken and runs to its end; no new item is taken after a
+    failure, and the first failure in item order raises, as in the serial
+    loop.
+    """
+    width = min(_map_width(), len(items))
+    if width <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: list[BaseException | None] = [None] * len(items)
+    taken = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def drain() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(taken, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, in item order
+                errors[i] = exc
+                stop.set()
+
+    workers = [threading.Thread(target=drain) for _ in range(width - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def preprocess_eeg(
     utterances: list[Utterance],
     config: DspConfig = DspConfig(),
@@ -169,25 +252,33 @@ def preprocess_eeg(
         stacked = dsp.apply_filter(
             cascade,
             SignalRecord(rate, np.concatenate([utterances[i].eeg.samples for i in block])),
+        ).samples
+        filtered = np.split(stacked, np.cumsum([utterances[i].eeg.channels for i in block])[:-1])
+        results = _ordered_map(
+            lambda job: _clean_utterance(utterances[job[0]], job[1], ica_config, seed),
+            list(zip(block, filtered)),
         )
-        start = 0
-        for i in block:
-            utt = utterances[i]
-            stop = start + utt.eeg.channels
-            # A fresh array, as the filter gives a recording filtered alone.
-            filtered = SignalRecord(rate, stacked.samples[start:stop].copy())
-            start = stop
-            rng = derive_rng(seed, f"ica.{utt.utterance_id}")
-            model = ica.fit_ica(
-                filtered, max_iter=ica_config.max_iter, tol=ica_config.tol, rng=rng
-            )
-            comps = ica.sources(model, filtered)
-            report = ica.score_and_reject(comps, ica_config.thresholds)
-            clean = ica.reconstruct_clean(model, comps, report)
-            cleaned[i] = replace(utt, eeg=SignalRecord(rate, clean))
-            report_rows[i] = [(utt.utterance_id, *r) for r in report.rows()]
-        del stacked  # before the next block is filtered
+        del stacked, filtered  # before the next block is filtered
+        for i, (utt, utt_rows) in zip(block, results):
+            cleaned[i], report_rows[i] = utt, utt_rows
     return cleaned, [r for rows in report_rows for r in rows]
+
+
+def _clean_utterance(
+    utt: Utterance, filtered: np.ndarray, ica_config: IcaConfig, seed: int
+) -> tuple[Utterance, list[tuple]]:
+    """ICA artifact removal of one filtered (channels x samples) recording:
+    the cleaned utterance and its artifact-report rows."""
+    rate = utt.eeg.sample_rate_hz
+    # A fresh array, as the filter gives a recording filtered alone.
+    record = SignalRecord(rate, filtered.copy())
+    rng = derive_rng(seed, f"ica.{utt.utterance_id}")
+    model = ica.fit_ica(record, max_iter=ica_config.max_iter, tol=ica_config.tol, rng=rng)
+    comps = ica.sources(model, record)
+    report = ica.score_and_reject(comps, ica_config.thresholds)
+    clean = ica.reconstruct_clean(model, comps, report)
+    rows = [(utt.utterance_id, *r) for r in report.rows()]
+    return replace(utt, eeg=SignalRecord(rate, clean)), rows
 
 
 def _filter_blocks(utterances: list[Utterance]) -> list[list[int]]:
@@ -213,14 +304,16 @@ def extract_features(
     mfcc_config: MfccConfig = MfccConfig(),
 ) -> dict[str, dict[str, FeatureSequence]]:
     """Per-utterance MFCC13 and EEG155 sequences keyed by utterance id."""
-    features = {}
-    for utt in utterances:
-        mfcc = extract_mfcc(utt.audio, mfcc_config, utterance_id=utt.utterance_id)
-        eeg155 = extract_eeg_features(
-            utt.eeg, dsp_config.frame_length, utterance_id=utt.utterance_id
-        )
-        features[utt.utterance_id] = {"mfcc13": mfcc, "eeg155": eeg155}
-    return features
+    streams = _ordered_map(
+        lambda utt: {
+            "mfcc13": extract_mfcc(utt.audio, mfcc_config, utterance_id=utt.utterance_id),
+            "eeg155": extract_eeg_features(
+                utt.eeg, dsp_config.frame_length, utterance_id=utt.utterance_id
+            ),
+        },
+        utterances,
+    )
+    return {utt.utterance_id: s for utt, s in zip(utterances, streams)}
 
 
 def reduce_eeg(

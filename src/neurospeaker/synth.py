@@ -65,6 +65,10 @@ class SynthSpec:
                 f"noise_db must lie within +-{NOISE_DB_LIMIT:g} dB, got {self.noise_db}"
             )
 
+    def samples_at(self, rate_hz: float) -> int:
+        """Samples in each recording sampled at ``rate_hz``."""
+        return int(round(self.duration_s * rate_hz))
+
 
 @dataclass
 class Utterance:
@@ -132,7 +136,7 @@ def speaker_profiles(spec: SynthSpec) -> SpeakerProfiles:
 
 
 def _synth_audio(rng: np.random.Generator, spec: SynthSpec, formants: np.ndarray) -> np.ndarray:
-    n = int(round(spec.duration_s * AUDIO_RATE_HZ))
+    n = spec.samples_at(AUDIO_RATE_HZ)
     excitation = rng.standard_normal(n)
     voice = np.zeros(n)
     for f_hz, bw, gain in zip(formants, FORMANT_BANDWIDTHS_HZ, FORMANT_GAINS):
@@ -155,7 +159,7 @@ def _synth_eeg(
     gains: np.ndarray,
     powerline_pattern: np.ndarray,
 ) -> np.ndarray:
-    n = int(round(spec.duration_s * EEG_RATE_HZ))
+    n = spec.samples_at(EEG_RATE_HZ)
     n_src = len(EEG_SOURCE_CENTERS_HZ)
     sources = np.empty((n_src, n))
     for i, (f_hz, bw) in enumerate(zip(EEG_SOURCE_CENTERS_HZ, EEG_SOURCE_BANDWIDTHS_HZ)):

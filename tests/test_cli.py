@@ -335,6 +335,24 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()  # rejected before any work
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment, key", [
+        ("features.mfcc_window_ms=1000", "features.mfcc_window_ms"),
+        ("dsp.frame_length=1000", "dsp.frame_length"),
+    ])
+    def test_window_longer_than_the_recordings_exits_3_before_synthesis(
+        self, tmp_path, capsys, monkeypatch, assignment, key
+    ):
+        from neurospeaker import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "generate_synthetic", lambda spec: calls.append(spec))
+        out = tmp_path / "x"
+        argv = ["experiment", "--out", str(out), "--seed", "21", *TINY[:4], "--set", assignment]
+        assert main(argv) == 3
+        assert not out.exists() and calls == []
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "synth.duration_s=0.6" in err
+
     def test_non_utf8_config_file_exits_3(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_bytes(b"\xff\xfeseed=3\n")
@@ -400,12 +418,15 @@ class TestExperimentCommand:
 
 class TestImportGraph:
     def test_importing_the_cli_loads_no_scipy(self):
-        """Only corpus generation needs scipy; every other command starts without it."""
+        """Only corpus generation needs scipy; every command starts without
+        it, and without concurrent.futures (about 9 ms to import), which the
+        utterance map does without."""
         src = str(Path(neurospeaker.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         probe = (
             "import sys, neurospeaker.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('concurrent.futures')))"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

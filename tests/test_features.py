@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ class TestExtractEegFeatures:
             windows = x[:, t * hop : t * hop + frame_length]
             expected = feature_block(windows).astype(np.float32).reshape(-1)
             np.testing.assert_array_equal(seq.frames[t].view(np.uint32), expected.view(np.uint32))
+
+    def test_working_memory_is_a_fraction_of_the_recording(self):
+        """Channels are taken a few at a time: one call on 31 x 2,000 samples
+        peaks below 8 MB (all channels at once peaked at 28.4 MB)."""
+        record = self._record(make_rng(6).standard_normal((31, 2000)))
+        tracemalloc.start()
+        try:
+            extract_eeg_features(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_frame_shorter_than_two_samples_rejected(self):
         with pytest.raises(InputError, match="at least 2 samples"):

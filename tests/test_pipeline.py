@@ -1,11 +1,14 @@
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neurospeaker import dsp, nn, pipeline
+from neurospeaker import dsp, ica, nn, pipeline
 from neurospeaker.core import make_rng
-from neurospeaker.errors import DimensionError, InputError
+from neurospeaker.errors import DegenerateInputError, DimensionError, InputError
 from neurospeaker.features import FeatureSequence, Modality, compute_feature_stats
 from neurospeaker.synth import SynthSpec, generate_synthetic
 
@@ -74,6 +77,107 @@ class TestBlockFiltering:
             np.testing.assert_array_equal(clean.eeg.samples, alone.eeg.samples)
             expected_rows += rows
         assert report_rows == expected_rows
+
+
+class TestUtteranceMap:
+    """ICA cleaning and feature extraction spread over worker threads give
+    the bytes of one utterance after another."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=3, duration_s=0.5, seed=9))
+
+    @staticmethod
+    def _run(corpus, width, monkeypatch):
+        """Cleaned utterances, report rows, features, and for every ICA fit
+        whether it ran on the main thread and its iteration count."""
+        fits = []
+        fit_ica = ica.fit_ica
+        # At width 2 each thread's first fit waits for the other thread's.
+        started = threading.Barrier(width, timeout=60)
+        waited = threading.local()
+
+        def spy(*args, **kwargs):
+            if not getattr(waited, "done", False):
+                waited.done = True
+                started.wait()
+            model = fit_ica(*args, **kwargs)
+            fits.append((threading.current_thread() is threading.main_thread(), model.n_iterations))
+            return model
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_map_width", lambda: width)
+            patch.setattr(ica, "fit_ica", spy)
+            cleaned, rows = pipeline.preprocess_eeg(corpus, seed=9)
+            return cleaned, rows, pipeline.extract_features(cleaned), fits
+
+    def test_two_workers_equal_one_bit_for_bit(self, corpus, monkeypatch):
+        cleaned1, rows1, feats1, fits1 = self._run(corpus, 1, monkeypatch)
+        cleaned2, rows2, feats2, fits2 = self._run(corpus, 2, monkeypatch)
+        assert all(on_main for on_main, _ in fits1)
+        assert {on_main for on_main, _ in fits2} == {True, False}
+        # Uneven fits finish out of corpus order on two workers.
+        assert len({n for _, n in fits1}) > 1
+        assert [u.utterance_id for u in cleaned2] == [u.utterance_id for u in corpus]
+        for a, b in zip(cleaned1, cleaned2, strict=True):
+            assert a.eeg.samples.tobytes() == b.eeg.samples.tobytes()
+        assert rows2 == rows1
+        assert list(feats2) == list(feats1)
+        for utt_id, streams in feats1.items():
+            for key in ("mfcc13", "eeg155"):
+                assert streams[key].frames.tobytes() == feats2[utt_id][key].frames.tobytes()
+
+    def test_first_failing_utterance_in_corpus_order_raises(self, corpus, monkeypatch):
+        """The third and fourth utterances each have two identical channels;
+        the third's message is raised at either width."""
+        broken = list(corpus)
+        for index, (a, b) in ((2, (4, 9)), (3, (1, 2))):
+            samples = broken[index].eeg.samples.copy()
+            samples[b] = samples[a]
+            broken[index] = replace(broken[index], eeg=replace(broken[index].eeg, samples=samples))
+        messages = []
+        for width in (1, 2):
+            monkeypatch.setattr(pipeline, "_map_width", lambda: width)
+            with pytest.raises(DegenerateInputError) as err:
+                pipeline.preprocess_eeg(broken, seed=9)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "'ch04' and 'ch09'" in messages[0]
+
+    def test_first_failure_in_item_order_raises_after_a_later_one(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_map_width", lambda: 2)
+        done = []
+
+        def work(i):
+            if i == 2:
+                time.sleep(0.2)  # item 3 fails first, on the other thread
+                raise ValueError("item 2")
+            if i == 3:
+                raise ValueError("item 3")
+            done.append(i)
+            return i
+
+        with pytest.raises(ValueError, match="item 2"):
+            pipeline._ordered_map(work, list(range(8)))
+        assert sorted(done) == [0, 1]  # nothing after the failure is taken
+        assert pipeline._ordered_map(lambda i: i * i, list(range(8))) == [i * i for i in range(8)]
+
+    @pytest.mark.parametrize("env, width", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, "cpus"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, "cpus"),
+        ({"OMP_NUM_THREADS": "1"}, "cpus"),
+    ])
+    def test_width_follows_the_blas_thread_count(self, monkeypatch, env, width):
+        for var in pipeline.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        expected = len(os.sched_getaffinity(0)) if width == "cpus" else width
+        assert pipeline._map_width() == expected
 
 
 class TestFeatureStage:
