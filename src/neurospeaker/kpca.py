@@ -2,9 +2,20 @@
 
 The fit eigendecomposes the double-centered Gram matrix; centering statistics
 are kept so out-of-sample vectors map consistently with the training
-projections. The Gram matrix and each transform block are centred in place,
-in the order ``- column means, - row means, + total mean``, so no n x n copy
-is made beside the kernel matrix itself. The eigensolve runs in place too:
+projections. Every kernel matrix starts as one ``x @ y.T`` product, and the
+kernel's elementwise step (poly: ``+ coef0`` then ``** degree``; RBF: the
+squared-norm terms, ``max(., 0)``, ``* -gamma``, ``exp``) overwrites it in
+place, a band of rows at a time. The step of each element reads only that
+element, so the fit spreads the Gram matrix's bands over the usable CPUs
+(``core._ordered_map``) with the bits of one serial pass; ``transform_frames``
+applies the step serially and starts no thread, so callers may map over it.
+The product itself is never split, because a row band's product need not
+carry the full product's bits.
+
+The Gram matrix and each transform block are centred in place, in the order
+``- column means, - row means, + total mean``, so no n x n copy is made
+beside the kernel matrix itself. The eigensolve runs in place too, and is
+the one step of the fit that runs on one CPU:
 the centred Gram's lower triangle is mirrored onto its upper one, and
 scipy's LAPACK ``dsyevd`` takes the buffer in Fortran order and overwrites
 it with the eigenvectors. The fit therefore holds the one n x n matrix plus
@@ -21,11 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _ordered_map
 from .errors import DimensionError, InputError, ReducedRankError
 
 EIGENVALUE_REL_TOL = 1e-9  # positive-eigenvalue cutoff relative to the largest
 TRANSFORM_CHUNK_ROWS = 4096  # query rows per kernel block in transform_frames
 MIRROR_TILE_ROWS = 256  # rows per band when the Gram's lower triangle is mirrored
+GRAM_BAND_ROWS = 128  # rows per map item when the fit applies the kernel step
 
 
 @dataclass(frozen=True)
@@ -46,24 +59,46 @@ class KernelSpec:
             raise InputError(f"gamma must be positive, got {self.gamma}")
 
 
+def _kernel_step(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
+    """The kernel's elementwise step on ``k = x @ y.T``: a function that
+    overwrites the rows ``rows`` (a slice) of ``k`` with the kernel values,
+    or None for the linear kernel, whose values are the product."""
+    if spec.kind == "linear":
+        return None
+    if spec.kind == "poly":
+        def step(k: np.ndarray, rows: slice) -> None:
+            band = k[rows]
+            band += spec.coef0
+            np.power(band, spec.degree, out=band)
+
+        return step
+    gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
+    x_sq = np.sum(x * x, axis=1)[:, None]
+    y_sq = np.sum(y * y, axis=1)[None, :]
+
+    def step(k: np.ndarray, rows: slice) -> None:
+        # |x|^2 - 2 x.y + |y|^2, in that order; -2 x.y added is 2 x.y subtracted.
+        band = k[rows]
+        band *= -2.0
+        band += x_sq[rows]
+        band += y_sq
+        np.maximum(band, 0.0, out=band)
+        band *= -gamma
+        np.exp(band, out=band)
+
+    return step
+
+
 def kernel_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[1] != y.shape[1]:
         raise DimensionError(f"kernel inputs disagree: {x.shape[1]} vs {y.shape[1]} dims")
-    if spec.kind == "linear":
-        return x @ y.T
-    if spec.kind == "poly":
-        k = x @ y.T
-        k += spec.coef0
-        return np.power(k, spec.degree, out=k)
-    gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ y.T)
-        + np.sum(y * y, axis=1)[None, :]
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    k = x @ y.T
+    step = _kernel_step(spec, x, y)
+    if step is not None:
+        step(k, slice(None))
+    return k
 
 
 @dataclass
@@ -109,7 +144,11 @@ def fit_kpca(x: np.ndarray, kernel: KernelSpec, n_components: int = 30) -> KpcaM
     if not np.all(np.isfinite(x)):
         raise InputError("fit_kpca input contains non-finite values")
 
-    gram = kernel_matrix(kernel, x, x)
+    gram = x @ x.T
+    step = _kernel_step(kernel, x, x)
+    if step is not None:
+        bands = [slice(start, start + GRAM_BAND_ROWS) for start in range(0, n, GRAM_BAND_ROWS)]
+        _ordered_map(lambda rows: step(gram, rows), bands)
     row_means = gram.mean(axis=0)
     total_mean = float(gram.mean())
     gram -= row_means[None, :]

@@ -5,24 +5,22 @@ Runs are deterministic: every stochastic step draws from a generator derived
 from the root seed and a stage label. EEG filtering runs on blocks of
 equal-length recordings stacked row-wise, and each block is filtered once
 through the band-pass + notch cascade (each row is filtered on its own, so a
-block gives the same bits as one recording at a time). ICA, rejection and
-features run per utterance; when OpenBLAS is pinned to one thread, the
-utterances are spread over the usable CPUs (``_ordered_map``), and since each
-draws from its own generator and results are gathered in corpus order, the
-bytes are those of one utterance after another. One seeded split
-(``split_utterances``) serves the KPCA fit and every modality.
+block gives the same bits as one recording at a time). ICA, rejection,
+features and the KPCA projection run per utterance; when OpenBLAS is pinned
+to one thread, the utterances are spread over the usable CPUs
+(``core._ordered_map``), and since each draws from its own generator and
+results are gathered in corpus order, the bytes are those of one utterance
+after another. One seeded split (``split_utterances``) serves the KPCA fit
+and every modality.
 """
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from . import dsp, ica, kpca, nn
-from .core import LabeledDataset, SignalRecord, derive_rng, split_dataset
+from .core import LabeledDataset, SignalRecord, _ordered_map, derive_rng, split_dataset
 from .errors import DimensionError, InputError
 from .features import (
     EEG_CHANNELS,
@@ -43,9 +41,6 @@ from .synth import SynthSpec, Utterance, generate_synthetic
 # 31-channel recordings, about 16 MB of float64 at 2000 samples each.
 FILTER_BLOCK_ROWS = 1024
 
-# The environment variables OpenBLAS reads its thread count from, in order.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 
 @dataclass
 class DspConfig:
@@ -64,6 +59,8 @@ class DspConfig:
             )
         if self.notch_hz <= 0 or self.notch_q <= 0:
             raise InputError("notch frequency and quality must be positive")
+        if self.bandpass_order < 2 or self.bandpass_order % 2:
+            raise InputError(f"band-pass order must be even and >= 2, got {self.bandpass_order}")
 
 
 @dataclass
@@ -72,11 +69,24 @@ class IcaConfig:
     tol: float = 1e-5
     thresholds: ica.ArtifactThresholds = field(default_factory=ica.ArtifactThresholds)
 
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise InputError(f"ICA max_iter must be >= 1, got {self.max_iter}")
+        if self.tol <= 0:
+            raise InputError(f"ICA tol must be positive, got {self.tol}")
+
 
 @dataclass
 class KpcaConfig:
     kernel: kpca.KernelSpec = field(default_factory=kpca.KernelSpec)
     max_fit_frames: int = 2000
+
+    def __post_init__(self):
+        if self.max_fit_frames <= Modality.EEG30.dim:
+            raise InputError(
+                f"max_fit_frames must exceed the {Modality.EEG30.dim} components, "
+                f"got {self.max_fit_frames}"
+            )
 
 
 @dataclass
@@ -136,80 +146,6 @@ def check_dimension_contracts(n_speakers: int) -> None:
         raise DimensionError("fusion dims are inconsistent")
     if n_speakers < 2:
         raise DimensionError(f"need at least 2 speakers, got {n_speakers}")
-
-
-def _map_width() -> int:
-    """How many utterances run at once: every usable CPU when OpenBLAS runs
-    one thread, otherwise 1.
-
-    OpenBLAS takes its thread count from the first of ``BLAS_THREAD_VARS``
-    that holds a positive integer, and from the CPU count when none does.
-    With more than one BLAS thread, concurrent BLAS callers queue on
-    OpenBLAS's thread server and together run slower than one at a time.
-    """
-    for var in BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return _usable_cpus() if threads == 1 else 1
-    return 1
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _ordered_map(fn: Callable, items: list) -> list:
-    """``[fn(item) for item in items]`` on up to ``_map_width()`` threads.
-
-    The calling thread is one of them, so ``width - 1`` threads start (none
-    at width 1). Each allocating thread gets a malloc arena that keeps the
-    memory it frees; a pool beside an idle caller raised the frontend
-    benchmark's peak RSS by 5 %, and this map by 0.3 %.
-
-    Items are taken in order, so when an item fails, every earlier item has
-    already been taken and runs to its end; no new item is taken after a
-    failure, and the first failure in item order raises, as in the serial
-    loop.
-    """
-    width = min(_map_width(), len(items))
-    if width <= 1:
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    errors: list[BaseException | None] = [None] * len(items)
-    taken = iter(range(len(items)))
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def drain() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(taken, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised below, in item order
-                errors[i] = exc
-                stop.set()
-
-    workers = [threading.Thread(target=drain) for _ in range(width - 1)]
-    for worker in workers:
-        worker.start()
-    try:
-        drain()
-    finally:
-        stop.set()
-        for worker in workers:
-            worker.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def preprocess_eeg(
@@ -326,7 +262,8 @@ def reduce_eeg(
 
     Features are z-scored (training statistics) before the kernel so no
     single raw feature scale dominates; the same transform is applied to all
-    partitions.
+    partitions. Each utterance is normalized and projected as one item of
+    ``_ordered_map``; the streams are added in corpus order.
     """
     train_seqs = [features[i]["eeg155"] for i in train_ids]
     stats = compute_feature_stats(train_seqs)
@@ -338,11 +275,15 @@ def reduce_eeg(
         pick = np.sort(rng.choice(pooled.shape[0], size=config.max_fit_frames, replace=False))
         pooled = pooled[pick]
     model = kpca.fit_kpca(pooled, config.kernel, Modality.EEG30.dim)
-    for utt_id, streams in features.items():
-        normalized = normalize_features(stats, streams["eeg155"])
-        reduced = kpca.transform_frames(model, normalized.frames.astype(np.float64))
+    reduced = _ordered_map(
+        lambda seq: kpca.transform_frames(
+            model, normalize_features(stats, seq).frames.astype(np.float64)
+        ),
+        [streams["eeg155"] for streams in features.values()],
+    )
+    for (utt_id, streams), frames in zip(features.items(), reduced):
         streams["eeg30"] = FeatureSequence(
-            reduced, streams["eeg155"].rate_hz, Modality.EEG30, utt_id
+            frames, streams["eeg155"].rate_hz, Modality.EEG30, utt_id
         )
     return model
 

@@ -329,6 +329,15 @@ class TestExitCodes:
         ("synth", "features.mfcc_window_ms=0"),
         ("experiment", "features.mfcc_window_ms=0"),
         ("experiment", "features.mfcc_filters=0"),
+        ("experiment", "kpca.max_fit_frames=-5"),
+        ("experiment", "kpca.max_fit_frames=10"),
+        ("experiment", "kpca.max_fit_frames=30"),
+        ("experiment", "ica.max_iter=0"),
+        ("experiment", "ica.max_iter=-3"),
+        ("experiment", "ica.tol=-1"),
+        ("experiment", "ica.tol=0"),
+        ("experiment", "dsp.bandpass_order=3"),
+        ("experiment", "dsp.bandpass_order=0"),
     ])
     def test_out_of_range_config_value_exits_3(self, tmp_path, capsys, command, assignment):
         assert main([command, "--out", str(tmp_path / "x"), "--set", assignment]) == 3

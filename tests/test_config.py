@@ -94,6 +94,7 @@ def test_subconfig_construction():
 
 SUBCONFIGS = ("synth_spec", "dsp_config", "ica_config", "mfcc_config", "kpca_config", "train_config")
 NON_DEFAULT = {
+    "dsp.bandpass_order": "6",  # an odd order cannot be designed
     "kpca.kernel": "rbf",
     "kpca.gamma": "0.5",
     "train.epochs": "7",
@@ -184,3 +185,11 @@ def test_non_utf8_config_file_rejected(tmp_path):
     path.write_bytes(b"\xffseed=3\n")
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(path)
+
+
+@pytest.mark.parametrize("assignment", [
+    "kpca.max_fit_frames=31", "ica.max_iter=1", "ica.tol=1e-300", "dsp.bandpass_order=2",
+])
+def test_smallest_runnable_values_load(assignment):
+    name, raw = assignment.split("=")
+    assert str(load_config(overrides=[assignment])[name]) == raw

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neurospeaker import kpca
+from neurospeaker import core, kpca
 from neurospeaker.core import make_rng
 from neurospeaker.errors import DimensionError, InputError, ReducedRankError
 
@@ -215,6 +216,53 @@ def test_fit_matches_numpy_eigh_at_pipeline_scale(spec):
     assert model.total_positive_mass == float(np.sum(eigvals[positive]) / n)
 
 
+def _fit_at_width(x, spec, width, monkeypatch):
+    """fit_kpca with the map forced to ``width`` threads, and the set of
+    threads that applied the kernel step. At width 2 each thread's first band
+    waits for the other thread's, so both work at once."""
+    threads = set()
+    started = threading.Barrier(width, timeout=60)
+    kernel_step = kpca._kernel_step
+
+    def spy(*args):
+        step = kernel_step(*args)
+        if step is None:
+            return None
+
+        def traced(k, rows):
+            if threading.current_thread() not in threads:
+                threads.add(threading.current_thread())
+                started.wait()
+            step(k, rows)
+
+        return traced
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_map_width", lambda: width)
+        patch.setattr(kpca, "_kernel_step", spy)
+        return kpca.fit_kpca(x, spec, n_components=30), threads
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1000])
+@pytest.mark.parametrize("spec", KERNELS.values(), ids=KERNELS.keys())
+def test_fit_on_two_workers_equals_one_bit_for_bit(spec, n, monkeypatch):
+    """The Gram matrix's kernel step, spread over row bands on two threads,
+    gives the model of one serial pass."""
+    x = make_rng(24).standard_normal((n, 155))
+    one, threads1 = _fit_at_width(x, spec, 1, monkeypatch)
+    two, threads2 = _fit_at_width(x, spec, 2, monkeypatch)
+    if spec.kind == "linear":  # the product is the kernel; nothing to map
+        assert threads1 == threads2 == set()
+    else:
+        assert threads1 == {threading.main_thread()}
+        assert len(threads2) == 2 and threading.main_thread() in threads2
+    assert_bits_equal(two.alphas, one.alphas)
+    assert_bits_equal(two.eigenvalues, one.eigenvalues)
+    assert_bits_equal(two.row_means, one.row_means)
+    assert two.total_mean == one.total_mean
+    assert two.total_positive_mass == one.total_positive_mass
+
+
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
 def test_mirror_lower_copies_the_lower_triangle_up(n):
     a = make_rng(23).standard_normal((n, n))
@@ -235,10 +283,10 @@ def status_bytes(field):
             if line.startswith(field + ":"):
                 return int(line.split()[1]) * 1024
 
-n = int(sys.argv[1])
+n, kind = int(sys.argv[1]), sys.argv[2]
 x = np.random.default_rng(0).standard_normal((n, 155))
 before = status_bytes("VmRSS")
-kpca.fit_kpca(x, kpca.KernelSpec(), n_components=30)
+kpca.fit_kpca(x, kpca.KernelSpec(kind=kind), n_components=30)
 print((status_bytes("VmHWM") - before) / (8 * n * n))
 """
 
@@ -251,15 +299,35 @@ def test_fit_peak_memory_is_one_gram_plus_lapack_workspace():
     tracemalloc cannot see LAPACK's buffers, and a child's ru_maxrss starts
     at its launcher's peak, so the probe reads its own resident peak (VmHWM)
     in a fresh interpreter."""
+    growth = _fit_peak_growth("poly", {"OPENBLAS_NUM_THREADS": "1"})
+    assert growth < 4.5, f"peak grew by {growth:.2f} n^2 doubles"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize("kind, blas", [
+    ("rbf", {"OPENBLAS_NUM_THREADS": "1"}),  # kernel step on row bands, every CPU
+    ("poly", {}),  # BLAS unpinned: one serial pass
+])
+def test_fit_peak_memory_on_each_path(kind, blas):
+    """The same bound for the RBF kernel, whose step makes no n x n
+    temporary, and for the serial path of an unpinned BLAS."""
+    growth = _fit_peak_growth(kind, blas)
+    assert growth < 4.5, f"peak grew by {growth:.2f} n^2 doubles"
+
+
+def _fit_peak_growth(kind, blas):
+    """Peak resident growth of one fit at n = 1,500, in n^2 doubles, read in
+    a fresh interpreter whose environment sets only the BLAS variables in
+    ``blas``."""
     n = 1500
     src = str(Path(kpca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env = {k: v for k, v in os.environ.items() if k not in core.BLAS_THREAD_VARS}
+    env.update(blas, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", MEMORY_PROBE, str(n)],
+        [sys.executable, "-c", MEMORY_PROBE, str(n), kind],
         env=env, capture_output=True, text=True, check=True,
     )
-    growth = float(done.stdout)
-    assert growth < 4.5, f"peak grew by {growth:.2f} n^2 doubles"
+    return float(done.stdout)
 
 
 class TestExplainedVariance:

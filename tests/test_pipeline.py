@@ -1,3 +1,4 @@
+import hashlib
 import os
 import threading
 import time
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neurospeaker import dsp, ica, nn, pipeline
+from neurospeaker import core, dsp, ica, kpca, nn, pipeline
 from neurospeaker.core import make_rng
 from neurospeaker.errors import DegenerateInputError, DimensionError, InputError
 from neurospeaker.features import FeatureSequence, Modality, compute_feature_stats
@@ -80,8 +81,8 @@ class TestBlockFiltering:
 
 
 class TestUtteranceMap:
-    """ICA cleaning and feature extraction spread over worker threads give
-    the bytes of one utterance after another."""
+    """ICA cleaning, feature extraction and the KPCA projection spread over
+    worker threads give the bytes of one utterance after another."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -106,7 +107,7 @@ class TestUtteranceMap:
             return model
 
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "_map_width", lambda: width)
+            patch.setattr(core, "_map_width", lambda: width)
             patch.setattr(ica, "fit_ica", spy)
             cleaned, rows = pipeline.preprocess_eeg(corpus, seed=9)
             return cleaned, rows, pipeline.extract_features(cleaned), fits
@@ -137,7 +138,7 @@ class TestUtteranceMap:
             broken[index] = replace(broken[index], eeg=replace(broken[index].eeg, samples=samples))
         messages = []
         for width in (1, 2):
-            monkeypatch.setattr(pipeline, "_map_width", lambda: width)
+            monkeypatch.setattr(core, "_map_width", lambda: width)
             with pytest.raises(DegenerateInputError) as err:
                 pipeline.preprocess_eeg(broken, seed=9)
             messages.append(str(err.value))
@@ -145,7 +146,7 @@ class TestUtteranceMap:
         assert "'ch04' and 'ch09'" in messages[0]
 
     def test_first_failure_in_item_order_raises_after_a_later_one(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_map_width", lambda: 2)
+        monkeypatch.setattr(core, "_map_width", lambda: 2)
         done = []
 
         def work(i):
@@ -158,9 +159,72 @@ class TestUtteranceMap:
             return i
 
         with pytest.raises(ValueError, match="item 2"):
-            pipeline._ordered_map(work, list(range(8)))
+            core._ordered_map(work, list(range(8)))
         assert sorted(done) == [0, 1]  # nothing after the failure is taken
-        assert pipeline._ordered_map(lambda i: i * i, list(range(8))) == [i * i for i in range(8)]
+        assert core._ordered_map(lambda i: i * i, list(range(8))) == [i * i for i in range(8)]
+
+    @pytest.fixture(scope="class")
+    def features(self, corpus):
+        """EEG155 streams of the corpus and its training ids."""
+        cleaned, _ = pipeline.preprocess_eeg(corpus, seed=9)
+        features = pipeline.extract_features(cleaned)
+        speakers = {u.utterance_id: u.speaker for u in corpus}
+        partition = pipeline.split_utterances(features, speakers, seed=9)
+        return features, [i for i, tag in partition.items() if tag == "train"]
+
+    @staticmethod
+    def _reduce(features, width, monkeypatch, fail=None):
+        """reduce_eeg on a copy of ``features`` with the map at ``width``: the
+        EEG30 streams, the model, and for every projection its input's
+        SHA-256 and whether it ran on the main thread. At width 2 each
+        thread's first projection waits for the other thread's. An input
+        whose digest is a key of ``fail`` raises instead, after the delay
+        its value gives."""
+        feats, train_ids = features
+        feats = {utt_id: dict(streams) for utt_id, streams in feats.items()}
+        calls = []
+        started = threading.Barrier(width, timeout=60)
+        waited = threading.local()
+        transform_frames = kpca.transform_frames
+
+        def spy(model, x):
+            if not getattr(waited, "done", False):
+                waited.done = True
+                started.wait()
+            digest = hashlib.sha256(x.tobytes()).hexdigest()
+            calls.append((digest, threading.current_thread() is threading.main_thread()))
+            if digest in (fail or {}):
+                time.sleep(fail[digest])
+                raise DimensionError(f"projection {digest}")
+            return transform_frames(model, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_map_width", lambda: width)
+            patch.setattr(kpca, "transform_frames", spy)
+            model = pipeline.reduce_eeg(feats, train_ids, seed=9)
+        return {utt_id: streams["eeg30"] for utt_id, streams in feats.items()}, model, calls
+
+    def test_projections_on_two_workers_equal_one_bit_for_bit(self, features, monkeypatch):
+        eeg30_1, model1, calls1 = self._reduce(features, 1, monkeypatch)
+        eeg30_2, model2, calls2 = self._reduce(features, 2, monkeypatch)
+        assert all(on_main for _, on_main in calls1)
+        assert {on_main for _, on_main in calls2} == {True, False}
+        assert sorted(d for d, _ in calls2) == sorted(d for d, _ in calls1)
+        assert model2.alphas.tobytes() == model1.alphas.tobytes()
+        assert list(eeg30_2) == list(eeg30_1) == list(features[0])
+        for utt_id, seq in eeg30_1.items():
+            assert seq.utterance_id == eeg30_2[utt_id].utterance_id == utt_id
+            assert seq.frames.tobytes() == eeg30_2[utt_id].frames.tobytes()
+
+    def test_first_failing_projection_in_corpus_order_raises(self, features, monkeypatch):
+        """The third and fourth utterances fail, the fourth first at width 2;
+        the third's error is raised at either width."""
+        _, _, calls = self._reduce(features, 1, monkeypatch)
+        digests = [d for d, _ in calls]
+        fail = {digests[2]: 0.2, digests[3]: 0.0}
+        for width in (1, 2):
+            with pytest.raises(DimensionError, match=f"projection {digests[2]}"):
+                self._reduce(features, width, monkeypatch, fail)
 
     @pytest.mark.parametrize("env, width", [
         ({}, 1),
@@ -172,12 +236,12 @@ class TestUtteranceMap:
         ({"OMP_NUM_THREADS": "1"}, "cpus"),
     ])
     def test_width_follows_the_blas_thread_count(self, monkeypatch, env, width):
-        for var in pipeline.BLAS_THREAD_VARS:
+        for var in core.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         expected = len(os.sched_getaffinity(0)) if width == "cpus" else width
-        assert pipeline._map_width() == expected
+        assert core._map_width() == expected
 
 
 class TestFeatureStage:
