@@ -15,13 +15,18 @@ carry the full product's bits.
 The Gram matrix and each transform block are centred in place, in the order
 ``- column means, - row means, + total mean``, so no n x n copy is made
 beside the kernel matrix itself. The eigensolve runs in place too, and is
-the one step of the fit that runs on one CPU:
-the centred Gram's lower triangle is mirrored onto its upper one, and
-scipy's LAPACK ``dsyevd`` takes the buffer in Fortran order and overwrites
-it with the eigenvectors. The fit therefore holds the one n x n matrix plus
-LAPACK's 2 n^2 workspace, about 3.5 n^2 doubles at its peak against about
-5.4 n^2 for ``np.linalg.eigh``, which copies its input and allocates its
-output; the bits are those ``np.linalg.eigh`` gives on the same matrix.
+the one step of the fit that runs on one CPU: the centred Gram's lower
+triangle is mirrored onto its upper one, and scipy's own LAPACK ``dsyevd``
+takes the buffer in Fortran order and overwrites it with the eigenvectors.
+The fit therefore holds the one n x n matrix plus LAPACK's 2 n^2 workspace,
+about 3.5 n^2 doubles at its peak against about 5.4 n^2 for
+``np.linalg.eigh``, which copies its input and allocates its output; the
+bits are those ``np.linalg.eigh`` gives on the same matrix. ``dsyevd`` is
+reached through ``scipy.linalg.cython_lapack`` and called with ``ctypes``,
+which releases the GIL for the call (``scipy.linalg.eigh``'s f2py wrapper
+holds it), so other Python threads run beside the solve; a pointer whose
+exported prototype is not ``dsyevd``'s is refused, and a nonzero LAPACK
+``info`` raises ``NumericError``.
 Eigenvalues are reported in variance units (Gram eigenvalues divided by n),
 so the projected training variance of component j equals ``eigenvalues[j]``
 exactly.
@@ -33,12 +38,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _ordered_map
-from .errors import DimensionError, InputError, ReducedRankError
+from .errors import DimensionError, InputError, NumericError, ReducedRankError
 
 EIGENVALUE_REL_TOL = 1e-9  # positive-eigenvalue cutoff relative to the largest
 TRANSFORM_CHUNK_ROWS = 4096  # query rows per kernel block in transform_frames
 MIRROR_TILE_ROWS = 256  # rows per band when the Gram's lower triangle is mirrored
 GRAM_BAND_ROWS = 128  # rows per map item when the fit applies the kernel step
+# The prototype under which scipy.linalg.cython_lapack exports dsyevd.
+DSYEVD_PROTOTYPE = "void (char *, char *, int *, {d}, int *, {d}, {d}, int *, int *, int *, int *)".format(
+    d="__pyx_t_5scipy_6linalg_13cython_lapack_d *"
+)
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,56 @@ def _mirror_lower(a: np.ndarray) -> None:
         block[rows, cols] = block[cols, rows]
 
 
+def _dsyevd(a: np.ndarray) -> np.ndarray:
+    """LAPACK ``dsyevd`` on the Fortran-ordered square ``a``, in place: reads
+    its lower triangle, leaves the eigenvectors in its columns, and returns
+    the eigenvalues in ascending order. The workspace is the size LAPACK's
+    own query gives, as ``scipy.linalg.eigh`` asks for."""
+    # scipy.linalg takes about 0.25 s to import; only the KPCA fit needs it.
+    import ctypes
+    from scipy.linalg import cython_lapack
+
+    api = ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    capsule = cython_lapack.__pyx_capi__["dsyevd"]
+    name = capsule_name(capsule)
+    if name != DSYEVD_PROTOTYPE.encode():
+        raise NumericError(
+            f"scipy.linalg.cython_lapack exports dsyevd as {name.decode()!r}, not as "
+            f"{DSYEVD_PROTOTYPE!r}; refusing to call it"
+        )
+    int_p, ptr = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    # A CFUNCTYPE call releases the GIL until the routine returns.
+    dsyevd = ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, int_p, ptr, int_p, ptr, ptr, int_p, ptr, int_p, int_p
+    )(capsule_pointer(capsule, name))
+
+    n = a.shape[0]
+    w = np.empty(n)
+    size, info = ctypes.c_int(n), ctypes.c_int(0)
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        dsyevd(
+            b"V", b"L", ctypes.byref(size), a.ctypes.data, ctypes.byref(size), w.ctypes.data,
+            work.ctypes.data, ctypes.byref(ctypes.c_int(lwork)),
+            iwork.ctypes.data, ctypes.byref(ctypes.c_int(liwork)), ctypes.byref(info),
+        )
+        if info.value != 0:
+            raise NumericError(
+                f"LAPACK dsyevd failed on the {n} x {n} centred kernel matrix "
+                f"(n = {n}, info = {info.value})"
+            )
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    call(work, -1, iwork, -1)  # workspace query: the sizes land in work[0], iwork[0]
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc), liwork)
+    return w
+
+
 def fit_kpca(x: np.ndarray, kernel: KernelSpec, n_components: int = 30) -> KpcaModel:
     """Fit on training frames; raises a reduced-rank error when the centered
     Gram matrix has fewer positive eigenvalues than requested components."""
@@ -158,15 +217,11 @@ def fit_kpca(x: np.ndarray, kernel: KernelSpec, n_components: int = 30) -> KpcaM
     # one the solve is defined on.
     _mirror_lower(gram)
 
-    # scipy.linalg takes about 0.25 s to import; only the KPCA fit needs it.
-    from scipy.linalg import eigh
-
-    # gram.T is the same buffer in Fortran order: LAPACK dsyevd reads its
-    # lower triangle and overwrites the buffer with the eigenvectors, so no
-    # n x n copy or output array is made.
-    eigvals, eigvecs = eigh(
-        gram.T, lower=True, overwrite_a=True, check_finite=False, driver="evd"
-    )
+    # gram.T is the same buffer in Fortran order: dsyevd reads its lower
+    # triangle and overwrites the buffer with the eigenvectors, so no n x n
+    # copy or output array is made.
+    eigvecs = gram.T
+    eigvals = _dsyevd(eigvecs)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]
     positive = eigvals > max(eigvals[0], 0.0) * EIGENVALUE_REL_TOL

@@ -12,14 +12,24 @@ to one thread, the utterances are spread over the usable CPUs
 results are gathered in corpus order, the bytes are those of one utterance
 after another. One seeded split (``split_utterances``) serves the KPCA fit
 and every modality.
+
+``run_experiment`` trains one model per modality (assemble, ``train``,
+``evaluate``: one job each). With BLAS pinned, the MFCC13 job, which reads
+no EEG30, trains beside the KPCA fit, whose LAPACK eigensolve releases the
+GIL; after the fit the remaining jobs share the usable CPUs. The fit stays
+on the calling thread, each job draws its own ``train.*`` generators, and
+results are gathered in the order of ``modalities``, so the bytes are those
+of the serial loop, which runs unchanged when BLAS is not pinned.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from . import dsp, ica, kpca, nn
+from . import core, dsp, ica, kpca, nn
 from .core import LabeledDataset, SignalRecord, _ordered_map, derive_rng, split_dataset
 from .errors import DimensionError, InputError
 from .features import (
@@ -469,30 +479,102 @@ def run_experiment(
     """Train one model per modality on identical splits and seeds.
 
     Mirrors the published comparison: a three-column table of test accuracy
-    for MFCC-only, EEG-only, and fused features.
+    for MFCC-only, EEG-only, and fused features. The result's dicts follow
+    the order of ``modalities``; see ``_jobs_beside_fit`` for which job runs
+    when.
     """
     check_dimension_contracts(spec.n_speakers)
     utterances = generate_synthetic(spec)
     speakers = {u.utterance_id: u.speaker for u in utterances}
     cleaned, _ = preprocess_eeg(utterances, dsp_config, ica_config, config.seed)
+    # Each stage reads only the last one's output; the recordings go before
+    # the KPCA fit and the trainings, which set the run's peak memory.
+    del utterances
     features = extract_features(cleaned, dsp_config, mfcc_config)
+    del cleaned
     partition = split_utterances(features, speakers, config.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
-    kpca_model = reduce_eeg(features, train_ids, kpca_config, config.seed)
 
-    reports: dict[Modality, EvalReport] = {}
-    results: dict[Modality, TrainResult] = {}
-    accuracies: dict[str, float] = {}
-    for modality in modalities:
+    def fit() -> kpca.KpcaModel:
+        return reduce_eeg(features, train_ids, kpca_config, config.seed)
+
+    def job(modality: Modality) -> tuple[TrainResult, EvalReport]:
         dataset = assemble_dataset(features, speakers, modality, config.seed)
         result = train(dataset, config)
-        report = evaluate(result.params, dataset, result.stats, result.curves)
-        reports[modality] = report
-        results[modality] = result
-        accuracies[MODALITY_COLUMNS.get(modality, modality.name)] = report.test_accuracy
+        return result, evaluate(result.params, dataset, result.stats, result.curves)
+
+    kpca_model, outcomes = _jobs_beside_fit(fit, job, modalities)
     return ExperimentResult(
-        accuracies=accuracies,
-        reports=reports,
-        results=results,
+        accuracies={
+            MODALITY_COLUMNS.get(m, m.name): report.test_accuracy
+            for m, (_, report) in zip(modalities, outcomes)
+        },
+        reports={m: report for m, (_, report) in zip(modalities, outcomes)},
+        results={m: result for m, (result, _) in zip(modalities, outcomes)},
         kpca_model=kpca_model,
     )
+
+
+def _reads_eeg30(modality: Modality) -> bool:
+    return modality in (Modality.EEG30, Modality.FUSED43)
+
+
+def _jobs_beside_fit(fit: Callable, job: Callable, modalities: tuple[Modality, ...]) -> tuple:
+    """``fit()`` and then ``[job(m) for m in modalities]``, with the results
+    and the failure of that serial order: ``(fit(), [job(m), ...])``.
+
+    At a map width of 1 (``core._map_width``) that is the serial loop, and
+    no thread starts. Otherwise the calling thread runs the fit, while
+    helper threads take the jobs that read no EEG30 beside it; then every
+    thread takes the remaining jobs in turn, and a job that reads EEG30
+    waits for the fit. Each job draws from its own generators, so its bytes
+    do not depend on the thread or the time it ran at. No job starts once
+    the fit or a job before it in serial order has failed, and the failure
+    first in serial order raises.
+    """
+    early = sum(not _reads_eeg30(m) for m in modalities)
+    width = min(core._map_width(), len(modalities) + (early > 0))
+    if width <= 1:
+        model = fit()
+        return model, [job(m) for m in modalities]
+    pending = iter(sorted(range(len(modalities)), key=lambda i: _reads_eeg30(modalities[i])))
+    outcomes: list = [None] * len(modalities)
+    failures: list[tuple[int, BaseException]] = []  # (serial position, error); the fit is 0
+    lock = threading.Lock()
+    fitted = threading.Event()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            if _reads_eeg30(modalities[i]):
+                fitted.wait()
+            with lock:
+                if any(position <= i for position, _ in failures):
+                    continue
+            try:
+                outcomes[i] = job(modalities[i])
+            except BaseException as exc:  # re-raised below, in serial order
+                with lock:
+                    failures.append((1 + i, exc))
+
+    helpers = [threading.Thread(target=drain) for _ in range(width - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        try:
+            model = fit()
+        except BaseException as exc:
+            with lock:
+                failures.append((0, exc))
+        finally:
+            fitted.set()
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return model, outcomes

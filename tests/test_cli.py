@@ -340,7 +340,9 @@ class TestExitCodes:
         ("experiment", "dsp.bandpass_order=0"),
     ])
     def test_out_of_range_config_value_exits_3(self, tmp_path, capsys, command, assignment):
-        assert main([command, "--out", str(tmp_path / "x"), "--set", assignment]) == 3
+        # At the small size, a missing check fails in seconds rather than
+        # running the default-size pipeline.
+        assert main([command, "--out", str(tmp_path / "x"), *TINY, "--set", assignment]) == 3
         assert not (tmp_path / "x").exists()  # rejected before any work
         assert "config error" in capsys.readouterr().err
 

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from neurospeaker import core, kpca
 from neurospeaker.core import make_rng
-from neurospeaker.errors import DimensionError, InputError, ReducedRankError
+from neurospeaker.errors import DimensionError, InputError, NumericError, ReducedRankError
 
 
 def pca_oracle_projections(x, n_components):
@@ -316,18 +317,118 @@ def test_fit_peak_memory_on_each_path(kind, blas):
 
 
 def _fit_peak_growth(kind, blas):
-    """Peak resident growth of one fit at n = 1,500, in n^2 doubles, read in
-    a fresh interpreter whose environment sets only the BLAS variables in
-    ``blas``."""
-    n = 1500
+    """Peak resident growth of one fit at n = 1,500, in n^2 doubles."""
+    return _probe(MEMORY_PROBE, ["1500", kind], blas)
+
+
+def _probe(script, args, blas):
+    """The number ``script`` prints, run in a fresh interpreter whose
+    environment sets only the BLAS variables in ``blas``."""
     src = str(Path(kpca.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in core.BLAS_THREAD_VARS}
     env.update(blas, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", MEMORY_PROBE, str(n), kind],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, check=True,
     )
     return float(done.stdout)
+
+
+GIL_PROBE = """
+import sys
+import threading
+import time
+import numpy as np
+import scipy.linalg  # a fixed cost, apart from the fit measured here
+from neurospeaker import kpca
+
+spins, stop = [0], threading.Event()
+
+def spin():
+    while not stop.is_set():
+        spins[0] += 1
+
+def rate(work):
+    start_spins, start = spins[0], time.perf_counter()
+    work()
+    return (spins[0] - start_spins) / (time.perf_counter() - start)
+
+x = np.random.default_rng(0).standard_normal((int(sys.argv[1]), 155))
+spinner = threading.Thread(target=spin)
+spinner.start()
+idle = rate(lambda: time.sleep(0.5))
+busy = rate(lambda: kpca.fit_kpca(x, kpca.KernelSpec(), n_components=30))
+stop.set()
+spinner.join()
+print(busy / idle)
+"""
+
+
+@pytest.mark.skipif(core._usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_fit_lets_other_threads_run():
+    """A Python thread spinning beside a fit at n = 1,500 keeps at least half
+    its idle rate: the eigensolve, most of the fit, runs without the GIL
+    (scipy.linalg.eigh's f2py wrapper held it, and left the spinner 1-4 %).
+    The probe runs in a fresh interpreter on one BLAS thread, so the solve
+    takes one CPU and leaves the other to the spinner."""
+    ratio = _probe(GIL_PROBE, ["1500"], {"OPENBLAS_NUM_THREADS": "1"})
+    assert ratio >= 0.5, f"the spinner ran at {ratio:.2f} of its idle rate"
+
+
+class TestLapackCapsule:
+    """The fit calls scipy's dsyevd through the pointer scipy exports; a
+    stub in its place shows what the fit does with the pointer."""
+
+    DSYEVD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)
+    NEW_CAPSULE = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)(
+        ("PyCapsule_New", ctypes.pythonapi)
+    )
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        """Install a Python dsyevd under a given prototype name; returns the
+        list of calls it records as (lwork, liwork). The stub answers the
+        workspace query with sizes of 1 and then sets ``info``."""
+        from scipy.linalg import cython_lapack
+
+        calls = []
+        keep = []
+
+        def install(prototype: bytes, info: int):
+            def dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, out_info):
+                sizes = [ctypes.cast(p, ctypes.POINTER(ctypes.c_int))[0] for p in (lwork, liwork)]
+                calls.append(tuple(sizes))
+                if sizes == [-1, -1]:
+                    ctypes.cast(work, ctypes.POINTER(ctypes.c_double))[0] = 1.0
+                    ctypes.cast(iwork, ctypes.POINTER(ctypes.c_int))[0] = 1
+                    result = 0
+                else:
+                    result = info
+                ctypes.cast(out_info, ctypes.POINTER(ctypes.c_int))[0] = result
+
+            function = self.DSYEVD(dsyevd)
+            keep.extend([function, prototype])  # the capsule holds raw pointers to both
+            capsule = self.NEW_CAPSULE(ctypes.cast(function, ctypes.c_void_p), prototype, None)
+            monkeypatch.setitem(cython_lapack.__pyx_capi__, "dsyevd", capsule)
+
+        yield install, calls
+
+    def test_another_prototype_is_refused_without_a_call(self, stub):
+        install, calls = stub
+        # dsyev's prototype: dsyevd's without the integer workspace and its size
+        dsyev = kpca.DSYEVD_PROTOTYPE.rsplit(", int *, int *)", 1)[0] + ")"
+        install(dsyev.encode(), 0)
+        with pytest.raises(NumericError, match="refusing to call it"):
+            kpca.fit_kpca(make_rng(25).standard_normal((40, 6)), kpca.KernelSpec(), n_components=5)
+        assert calls == []
+
+    @pytest.mark.parametrize("info", [3, -4])
+    def test_nonzero_info_raises_a_numeric_error_naming_n(self, stub, info):
+        install, calls = stub
+        install(kpca.DSYEVD_PROTOTYPE.encode(), info)
+        with pytest.raises(NumericError, match=rf"n = 40, info = {info}\)"):
+            kpca.fit_kpca(make_rng(25).standard_normal((40, 6)), kpca.KernelSpec(), n_components=5)
+        assert calls == [(-1, -1), (1, 1)]  # the workspace query, then the solve
 
 
 class TestExplainedVariance:

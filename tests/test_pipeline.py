@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 import os
+import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +245,167 @@ class TestUtteranceMap:
             monkeypatch.setenv(var, value)
         expected = len(os.sched_getaffinity(0)) if width == "cpus" else width
         assert core._map_width() == expected
+
+
+class TestExperimentSchedule:
+    """With the map at width 2, ``run_experiment`` trains MFCC13 beside the
+    KPCA fit and the other modalities side by side after it, with the bytes,
+    the order and the failure of the serial loop."""
+
+    SPEC = SynthSpec(n_speakers=2, utterances_per_speaker=5, duration_s=0.5, seed=12)
+    CONFIG = pipeline.TrainConfig(epochs=2, seed=12, tcn_filters=8, gru_hidden=8)
+    KPCA = pipeline.KpcaConfig(max_fit_frames=200)
+    DEFAULT = (Modality.MFCC13, Modality.EEG30, Modality.FUSED43)
+
+    @classmethod
+    def _run(cls, modalities, width, monkeypatch, fit_kpca=None, train=None):
+        """run_experiment with the map at ``width``, and optionally
+        ``kpca.fit_kpca`` and ``pipeline.train`` replaced by wrappers that
+        take the original as their first argument."""
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_map_width", lambda: width)
+            if fit_kpca is not None:
+                original_fit = kpca.fit_kpca
+                patch.setattr(kpca, "fit_kpca", lambda *a, **k: fit_kpca(original_fit, *a, **k))
+            if train is not None:
+                original_train = pipeline.train
+                patch.setattr(pipeline, "train", lambda *a, **k: train(original_train, *a, **k))
+            return pipeline.run_experiment(
+                cls.SPEC, modalities=modalities, config=cls.CONFIG, kpca_config=cls.KPCA
+            )
+
+    @staticmethod
+    def _modality(dataset):
+        return dataset.items[0][0].modality
+
+    @pytest.mark.parametrize("modalities", [DEFAULT, (Modality.FUSED43, Modality.MFCC13)])
+    def test_two_workers_equal_one_bit_for_bit(self, modalities, monkeypatch):
+        threads = {}
+
+        def train(original, dataset, config):
+            threads[self._modality(dataset)] = threading.current_thread()
+            return original(dataset, config)
+
+        one = self._run(modalities, 1, monkeypatch)
+        two = self._run(modalities, 2, monkeypatch, train=train)
+        # MFCC13 trains on the helper; with two modalities after the fit,
+        # both threads train one.
+        assert threads[Modality.MFCC13] is not threading.main_thread()
+        if modalities == self.DEFAULT:
+            assert len(set(threads.values())) == 2
+        assert list(two.results) == list(two.reports) == list(one.results) == list(modalities)
+        assert list(two.accuracies.items()) == list(one.accuracies.items())
+        assert two.kpca_model.alphas.tobytes() == one.kpca_model.alphas.tobytes()
+        for modality in modalities:
+            a, b = one.results[modality], two.results[modality]
+            assert a.curves == b.curves
+            for (name_a, x), (name_b, y) in zip(a.params.named_arrays(), b.params.named_arrays(), strict=True):
+                assert name_a == name_b and x.tobytes() == y.tobytes()
+            assert a.stats.mean.tobytes() == b.stats.mean.tobytes()
+            assert a.stats.std.tobytes() == b.stats.std.tobytes()
+            ra, rb = one.reports[modality], two.reports[modality]
+            assert ra.test_accuracy == rb.test_accuracy and ra.curves == rb.curves
+            assert ra.confusion_matrix.tobytes() == rb.confusion_matrix.tobytes()
+
+    def test_mfcc13_trains_during_the_fit(self, monkeypatch):
+        """The fit and the MFCC13 training each wait for the other to start,
+        so the run ends only if the two overlap."""
+        both = threading.Barrier(2, timeout=60)
+        fit_threads, mfcc_threads = [], []
+
+        def fit_kpca(original, *args, **kwargs):
+            fit_threads.append(threading.current_thread())
+            both.wait()
+            return original(*args, **kwargs)
+
+        def train(original, dataset, config):
+            if self._modality(dataset) is Modality.MFCC13:
+                mfcc_threads.append(threading.current_thread())
+                both.wait()
+            return original(dataset, config)
+
+        self._run(self.DEFAULT, 2, monkeypatch, fit_kpca=fit_kpca, train=train)
+        assert fit_threads == [threading.main_thread()]
+        assert len(mfcc_threads) == 1 and mfcc_threads[0] is not threading.main_thread()
+
+    @pytest.mark.parametrize("modalities, failing, raised, trained", [
+        # the fit fails after MFCC13, beside it, has failed
+        (DEFAULT, {"kpca": 0.3, Modality.MFCC13: 0.0}, "kpca", ([], [Modality.MFCC13])),
+        # MFCC13 fails beside the fit; FUSED43, before it in serial order, fails later
+        ((Modality.FUSED43, Modality.MFCC13), {Modality.FUSED43: 0.0, Modality.MFCC13: 0.0},
+         Modality.FUSED43, ([Modality.FUSED43], [Modality.MFCC13, Modality.FUSED43])),
+        # MFCC13 fails; nothing after it in serial order is trained
+        (DEFAULT, {Modality.MFCC13: 0.0, Modality.FUSED43: 0.0}, Modality.MFCC13,
+         ([Modality.MFCC13], [Modality.MFCC13])),
+    ], ids=["the fit before MFCC13", "FUSED43 before MFCC13", "nothing after MFCC13"])
+    def test_first_failure_in_serial_order_raises(self, modalities, failing, raised, trained, monkeypatch):
+        """``failing`` maps "kpca" or a modality to the delay before it
+        raises; the failure first in serial order (the fit, then the
+        modalities in order) is the one raised, at either width. ``trained``
+        lists the modalities whose training starts at width 1 and at 2."""
+        for width, expected in zip((1, 2), trained):
+            started = []
+
+            def fit_kpca(original, *args, **kwargs):
+                if "kpca" in failing:
+                    time.sleep(failing["kpca"])
+                    raise DimensionError("failed: kpca")
+                return original(*args, **kwargs)
+
+            def train(original, dataset, config):
+                modality = self._modality(dataset)
+                started.append(modality)
+                if modality in failing:
+                    time.sleep(failing[modality])
+                    raise DimensionError(f"failed: {modality}")
+                return original(dataset, config)
+
+            with pytest.raises(DimensionError) as err:
+                self._run(modalities, width, monkeypatch, fit_kpca=fit_kpca, train=train)
+            assert str(err.value) == f"failed: {raised}"
+            assert started == expected
+
+    def test_many_workers_keep_the_serial_order(self, monkeypatch):
+        """Eight workers on 40 jobs with a short switch interval: every job
+        runs once, those that read EEG30 after the fit, and the outcomes
+        keep the order of the modalities."""
+        modalities = tuple(itertools.islice(itertools.cycle(Modality), 40))
+        fitted, ran = threading.Event(), []
+
+        def fit():
+            time.sleep(0.05)
+            fitted.set()
+            return "model"
+
+        def job(modality):
+            ran.append(modality)
+            if pipeline._reads_eeg30(modality) and not fitted.is_set():
+                raise AssertionError(f"{modality} ran before the fit")
+            return modality
+
+        monkeypatch.setattr(core, "_map_width", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            model, outcomes = pipeline._jobs_beside_fit(fit, job, modalities)
+        finally:
+            sys.setswitchinterval(interval)
+        assert model == "model"
+        assert outcomes == list(modalities)
+        assert Counter(ran) == Counter(modalities)
+
+    def test_width_one_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        result = self._run(self.DEFAULT, 1, monkeypatch)
+        assert started == []
+        assert list(result.results) == list(self.DEFAULT)
 
 
 class TestFeatureStage:
