@@ -10,7 +10,6 @@ import sys
 import time
 
 from neurospeaker import pipeline
-from neurospeaker.features import Modality
 from neurospeaker.synth import SynthSpec
 
 
@@ -26,8 +25,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    modalities = (Modality.MFCC13, Modality.EEG30, Modality.FUSED43)
-    print(f"{'noise_db':>9} | {'MFCC':>7} | {'EEG':>7} | {'MFCC+EEG':>9}")
+    # Each column holds "100.00%" and is one wider than its name.
+    widths = {name: max(7, len(name) + 1) for name in pipeline.MODALITY_COLUMNS.values()}
+    print(f"{'noise_db':>9} | " + " | ".join(f"{name:>{w}}" for name, w in widths.items()))
     print("-" * 43)
     for noise_db in args.noise_db:
         spec = SynthSpec(
@@ -40,14 +40,12 @@ def main() -> int:
         )
         start = time.perf_counter()
         result = pipeline.run_experiment(
-            spec,
-            modalities=modalities,
-            config=pipeline.TrainConfig(epochs=args.epochs, seed=args.seed),
+            spec, config=pipeline.TrainConfig(epochs=args.epochs, seed=args.seed)
         )
-        acc = result.accuracies
+        cells = [f"{100 * result.accuracies[name]:>{w - 1}.2f}%" for name, w in widths.items()]
         print(
-            f"{noise_db:>9.1f} | {100 * acc['MFCC']:>6.2f}% | {100 * acc['EEG']:>6.2f}% "
-            f"| {100 * acc['MFCC+EEG']:>8.2f}%   ({time.perf_counter() - start:.0f}s)"
+            f"{noise_db:>9.1f} | " + " | ".join(cells)
+            + f"   ({time.perf_counter() - start:.0f}s)"
         )
     return 0
 

@@ -265,8 +265,7 @@ def cmd_kpca(args) -> int:
 
 def _assemble_from_dir(features_dir: Path, config: RunConfig, modality: Modality):
     rows = fileio.read_features_index(features_dir / fileio.FEATURES_INDEX)
-    want_eeg30 = modality in (Modality.EEG30, Modality.FUSED43)
-    streams, speakers = _load_feature_streams(features_dir, rows, want_eeg30)
+    streams, speakers = _load_feature_streams(features_dir, rows, pipeline.reads_eeg30(modality))
     return pipeline.assemble_dataset(streams, speakers, modality, config.seed)
 
 

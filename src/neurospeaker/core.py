@@ -3,9 +3,10 @@ package's one worker map.
 
 All stochastic code in the package draws from generators produced here, so a
 single root seed reproduces every stage bit for bit. ``_ordered_map`` spreads
-independent items (utterances, row bands of the KPCA Gram matrix) over the
-usable CPUs when OpenBLAS is pinned to one thread; results come back in item
-order, so they are the bytes of a serial loop.
+independent items (utterances, row bands of the KPCA Gram matrix, the
+experiment's KPCA fit and modality trainings) over the usable CPUs when
+OpenBLAS is pinned to one thread; results come back in item order, so they
+are the bytes of a serial loop.
 """
 from __future__ import annotations
 
@@ -213,9 +214,12 @@ def _ordered_map(fn: Callable, items: list) -> list:
     """``[fn(item) for item in items]`` on up to ``_map_width()`` threads.
 
     The calling thread is one of them, so ``width - 1`` threads start (none
-    at width 1). Each allocating thread gets a malloc arena that keeps the
-    memory it frees; a pool beside an idle caller raised the frontend
-    benchmark's peak RSS by 5 %, and this map by 0.3 %.
+    at width 1). It takes item 0 before any worker starts, so item 0 runs on
+    the calling thread; ``run_experiment`` relies on that to keep its KPCA
+    fit, the run's largest allocation, out of a worker's arena. Each
+    allocating thread gets a malloc arena that keeps the memory it frees; a
+    pool beside an idle caller raised the frontend benchmark's peak RSS by
+    5 %, and this map by 0.3 %.
 
     Items are taken in order, so when an item fails, every earlier item has
     already been taken and runs to its end; no new item is taken after a
@@ -231,22 +235,27 @@ def _ordered_map(fn: Callable, items: list) -> list:
     lock = threading.Lock()
     stop = threading.Event()
 
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:  # re-raised below, in item order
+            errors[i] = exc
+            stop.set()
+
     def drain() -> None:
         while not stop.is_set():
             with lock:
                 i = next(taken, None)
             if i is None:
                 return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised below, in item order
-                errors[i] = exc
-                stop.set()
+            run(i)
 
+    first = next(taken)
     workers = [threading.Thread(target=drain) for _ in range(width - 1)]
     for worker in workers:
         worker.start()
     try:
+        run(first)
         drain()
     finally:
         stop.set()

@@ -14,22 +14,22 @@ after another. One seeded split (``split_utterances``) serves the KPCA fit
 and every modality.
 
 ``run_experiment`` trains one model per modality (assemble, ``train``,
-``evaluate``: one job each). With BLAS pinned, the MFCC13 job, which reads
-no EEG30, trains beside the KPCA fit, whose LAPACK eigensolve releases the
-GIL; after the fit the remaining jobs share the usable CPUs. The fit stays
-on the calling thread, each job draws its own ``train.*`` generators, and
-results are gathered in the order of ``modalities``, so the bytes are those
-of the serial loop, which runs unchanged when BLAS is not pinned.
+``evaluate``: one job each) through two ``_ordered_map`` calls. With BLAS
+pinned, the first runs the KPCA fit, whose LAPACK eigensolve releases the
+GIL, on the calling thread beside the leading jobs that read no EEG30
+(MFCC13 in the default order); the second spreads the remaining jobs over
+the usable CPUs. Each job draws its own ``train.*`` generators, and results
+are gathered in the order of ``modalities``, so the bytes are those of the
+serial loop, which runs unchanged when BLAS is not pinned.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
-from . import core, dsp, ica, kpca, nn
+from . import dsp, ica, kpca, nn
 from .core import LabeledDataset, SignalRecord, _ordered_map, derive_rng, split_dataset
 from .errors import DimensionError, InputError
 from .features import (
@@ -304,6 +304,12 @@ def modality_sequence(streams: dict[str, FeatureSequence], modality: Modality) -
     return streams[modality.name.lower()]
 
 
+def reads_eeg30(modality: Modality) -> bool:
+    """Whether ``modality_sequence`` needs the EEG30 stream, which exists
+    only after the KPCA fit."""
+    return modality in (Modality.EEG30, Modality.FUSED43)
+
+
 def split_utterances(
     features: dict[str, dict[str, FeatureSequence]],
     speakers: dict[str, int],
@@ -480,8 +486,12 @@ def run_experiment(
 
     Mirrors the published comparison: a three-column table of test accuracy
     for MFCC-only, EEG-only, and fused features. The result's dicts follow
-    the order of ``modalities``; see ``_jobs_beside_fit`` for which job runs
-    when.
+    the order of ``modalities``. The KPCA fit and the leading run of
+    modalities that read no EEG30 are one ``_ordered_map`` call, the fit as
+    item 0 on the calling thread; the remaining modalities are a second
+    call. Only a leading run keeps every item of the first call before
+    every item of the second in serial order, so the failure raised is
+    that of the serial loop.
     """
     check_dimension_contracts(spec.n_speakers)
     utterances = generate_synthetic(spec)
@@ -495,15 +505,17 @@ def run_experiment(
     partition = split_utterances(features, speakers, config.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
 
-    def fit() -> kpca.KpcaModel:
-        return reduce_eeg(features, train_ids, kpca_config, config.seed)
-
     def job(modality: Modality) -> tuple[TrainResult, EvalReport]:
         dataset = assemble_dataset(features, speakers, modality, config.seed)
         result = train(dataset, config)
         return result, evaluate(result.params, dataset, result.stats, result.curves)
 
-    kpca_model, outcomes = _jobs_beside_fit(fit, job, modalities)
+    lead = next((k for k, m in enumerate(modalities) if reads_eeg30(m)), len(modalities))
+    fit = partial(reduce_eeg, features, train_ids, kpca_config, config.seed)
+    kpca_model, *outcomes = _ordered_map(
+        lambda task: task(), [fit, *(partial(job, m) for m in modalities[:lead])]
+    )
+    outcomes += _ordered_map(job, list(modalities[lead:]))
     return ExperimentResult(
         accuracies={
             MODALITY_COLUMNS.get(m, m.name): report.test_accuracy
@@ -513,68 +525,3 @@ def run_experiment(
         results={m: result for m, (result, _) in zip(modalities, outcomes)},
         kpca_model=kpca_model,
     )
-
-
-def _reads_eeg30(modality: Modality) -> bool:
-    return modality in (Modality.EEG30, Modality.FUSED43)
-
-
-def _jobs_beside_fit(fit: Callable, job: Callable, modalities: tuple[Modality, ...]) -> tuple:
-    """``fit()`` and then ``[job(m) for m in modalities]``, with the results
-    and the failure of that serial order: ``(fit(), [job(m), ...])``.
-
-    At a map width of 1 (``core._map_width``) that is the serial loop, and
-    no thread starts. Otherwise the calling thread runs the fit, while
-    helper threads take the jobs that read no EEG30 beside it; then every
-    thread takes the remaining jobs in turn, and a job that reads EEG30
-    waits for the fit. Each job draws from its own generators, so its bytes
-    do not depend on the thread or the time it ran at. No job starts once
-    the fit or a job before it in serial order has failed, and the failure
-    first in serial order raises.
-    """
-    early = sum(not _reads_eeg30(m) for m in modalities)
-    width = min(core._map_width(), len(modalities) + (early > 0))
-    if width <= 1:
-        model = fit()
-        return model, [job(m) for m in modalities]
-    pending = iter(sorted(range(len(modalities)), key=lambda i: _reads_eeg30(modalities[i])))
-    outcomes: list = [None] * len(modalities)
-    failures: list[tuple[int, BaseException]] = []  # (serial position, error); the fit is 0
-    lock = threading.Lock()
-    fitted = threading.Event()
-
-    def drain() -> None:
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            if _reads_eeg30(modalities[i]):
-                fitted.wait()
-            with lock:
-                if any(position <= i for position, _ in failures):
-                    continue
-            try:
-                outcomes[i] = job(modalities[i])
-            except BaseException as exc:  # re-raised below, in serial order
-                with lock:
-                    failures.append((1 + i, exc))
-
-    helpers = [threading.Thread(target=drain) for _ in range(width - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        try:
-            model = fit()
-        except BaseException as exc:
-            with lock:
-                failures.append((0, exc))
-        finally:
-            fitted.set()
-        drain()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return model, outcomes

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import os
 import sys
 import threading
@@ -166,6 +165,40 @@ class TestUtteranceMap:
         assert sorted(done) == [0, 1]  # nothing after the failure is taken
         assert core._ordered_map(lambda i: i * i, list(range(8))) == [i * i for i in range(8)]
 
+    def test_item_0_runs_on_the_calling_thread(self, monkeypatch):
+        """Items 0 and 1 each wait for the other to start, so they run on
+        different threads; item 0 is the calling thread's."""
+        monkeypatch.setattr(core, "_map_width", lambda: 2)
+        both = threading.Barrier(2, timeout=60)
+
+        def work(i):
+            both.wait()
+            return threading.current_thread()
+
+        first, second = core._ordered_map(work, [0, 1])
+        assert first is threading.main_thread()
+        assert second is not threading.main_thread()
+
+    def test_many_workers_keep_the_serial_order(self, monkeypatch):
+        """Eight workers on 40 items with a short switch interval: every item
+        runs once and the results keep item order."""
+        ran = []
+
+        def work(i):
+            ran.append(i)
+            time.sleep(0.001 * (i % 3))
+            return i * i
+
+        monkeypatch.setattr(core, "_map_width", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = core._ordered_map(work, list(range(40)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [i * i for i in range(40)]
+        assert sorted(ran) == list(range(40))
+
     @pytest.fixture(scope="class")
     def features(self, corpus):
         """EEG155 streams of the corpus and its training ids."""
@@ -248,9 +281,10 @@ class TestUtteranceMap:
 
 
 class TestExperimentSchedule:
-    """With the map at width 2, ``run_experiment`` trains MFCC13 beside the
-    KPCA fit and the other modalities side by side after it, with the bytes,
-    the order and the failure of the serial loop."""
+    """With the map at width 2, ``run_experiment`` trains the leading
+    modalities that read no EEG30 beside the KPCA fit and the rest side by
+    side after it, with the bytes, the order and the failure of the serial
+    loop."""
 
     SPEC = SynthSpec(n_speakers=2, utterances_per_speaker=5, duration_s=0.5, seed=12)
     CONFIG = pipeline.TrainConfig(epochs=2, seed=12, tcn_filters=8, gru_hidden=8)
@@ -280,19 +314,23 @@ class TestExperimentSchedule:
 
     @pytest.mark.parametrize("modalities", [DEFAULT, (Modality.FUSED43, Modality.MFCC13)])
     def test_two_workers_equal_one_bit_for_bit(self, modalities, monkeypatch):
+        """The last two modalities train after the fit, each waiting for the
+        other to start, so the main thread and one helper each train one."""
         threads = {}
+        after_fit = threading.Barrier(2, timeout=60)
 
         def train(original, dataset, config):
-            threads[self._modality(dataset)] = threading.current_thread()
+            modality = self._modality(dataset)
+            threads[modality] = threading.current_thread()
+            if modality in modalities[-2:]:
+                after_fit.wait()
             return original(dataset, config)
 
         one = self._run(modalities, 1, monkeypatch)
         two = self._run(modalities, 2, monkeypatch, train=train)
-        # MFCC13 trains on the helper; with two modalities after the fit,
-        # both threads train one.
+        assert threads[modalities[-2]] is threading.main_thread()
+        assert threads[modalities[-1]] is not threading.main_thread()
         assert threads[Modality.MFCC13] is not threading.main_thread()
-        if modalities == self.DEFAULT:
-            assert len(set(threads.values())) == 2
         assert list(two.results) == list(two.reports) == list(one.results) == list(modalities)
         assert list(two.accuracies.items()) == list(one.accuracies.items())
         assert two.kpca_model.alphas.tobytes() == one.kpca_model.alphas.tobytes()
@@ -331,9 +369,10 @@ class TestExperimentSchedule:
     @pytest.mark.parametrize("modalities, failing, raised, trained", [
         # the fit fails after MFCC13, beside it, has failed
         (DEFAULT, {"kpca": 0.3, Modality.MFCC13: 0.0}, "kpca", ([], [Modality.MFCC13])),
-        # MFCC13 fails beside the fit; FUSED43, before it in serial order, fails later
-        ((Modality.FUSED43, Modality.MFCC13), {Modality.FUSED43: 0.0, Modality.MFCC13: 0.0},
-         Modality.FUSED43, ([Modality.FUSED43], [Modality.MFCC13, Modality.FUSED43])),
+        # both start after the fit; MFCC13 fails first, FUSED43, before it in
+        # serial order, fails later
+        ((Modality.FUSED43, Modality.MFCC13), {Modality.FUSED43: 0.3, Modality.MFCC13: 0.0},
+         Modality.FUSED43, ([Modality.FUSED43], [Modality.FUSED43, Modality.MFCC13])),
         # MFCC13 fails; nothing after it in serial order is trained
         (DEFAULT, {Modality.MFCC13: 0.0, Modality.FUSED43: 0.0}, Modality.MFCC13,
          ([Modality.MFCC13], [Modality.MFCC13])),
@@ -342,7 +381,8 @@ class TestExperimentSchedule:
         """``failing`` maps "kpca" or a modality to the delay before it
         raises; the failure first in serial order (the fit, then the
         modalities in order) is the one raised, at either width. ``trained``
-        lists the modalities whose training starts at width 1 and at 2."""
+        lists the modalities whose training starts at width 1 and at 2, in
+        any order."""
         for width, expected in zip((1, 2), trained):
             started = []
 
@@ -363,36 +403,7 @@ class TestExperimentSchedule:
             with pytest.raises(DimensionError) as err:
                 self._run(modalities, width, monkeypatch, fit_kpca=fit_kpca, train=train)
             assert str(err.value) == f"failed: {raised}"
-            assert started == expected
-
-    def test_many_workers_keep_the_serial_order(self, monkeypatch):
-        """Eight workers on 40 jobs with a short switch interval: every job
-        runs once, those that read EEG30 after the fit, and the outcomes
-        keep the order of the modalities."""
-        modalities = tuple(itertools.islice(itertools.cycle(Modality), 40))
-        fitted, ran = threading.Event(), []
-
-        def fit():
-            time.sleep(0.05)
-            fitted.set()
-            return "model"
-
-        def job(modality):
-            ran.append(modality)
-            if pipeline._reads_eeg30(modality) and not fitted.is_set():
-                raise AssertionError(f"{modality} ran before the fit")
-            return modality
-
-        monkeypatch.setattr(core, "_map_width", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            model, outcomes = pipeline._jobs_beside_fit(fit, job, modalities)
-        finally:
-            sys.setswitchinterval(interval)
-        assert model == "model"
-        assert outcomes == list(modalities)
-        assert Counter(ran) == Counter(modalities)
+            assert Counter(started) == Counter(expected)
 
     def test_width_one_starts_no_thread(self, monkeypatch):
         started = []
