@@ -25,8 +25,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    # Each column holds "100.00%" and is one wider than its name.
-    widths = {name: max(7, len(name) + 1) for name in pipeline.MODALITY_COLUMNS.values()}
+    # A column is as wide as "100.00%" or as its name plus a space; each row
+    # looks its cells up by the header's names.
+    names = pipeline.MODALITY_COLUMNS.values()
+    widths = {name: max(len("100.00%"), len(name) + 1) for name in names}
     print(f"{'noise_db':>9} | " + " | ".join(f"{name:>{w}}" for name, w in widths.items()))
     print("-" * 43)
     for noise_db in args.noise_db:

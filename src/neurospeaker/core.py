@@ -214,12 +214,13 @@ def _ordered_map(fn: Callable, items: list) -> list:
     """``[fn(item) for item in items]`` on up to ``_map_width()`` threads.
 
     The calling thread is one of them, so ``width - 1`` threads start (none
-    at width 1). It takes item 0 before any worker starts, so item 0 runs on
-    the calling thread; ``run_experiment`` relies on that to keep its KPCA
-    fit, the run's largest allocation, out of a worker's arena. Each
-    allocating thread gets a malloc arena that keeps the memory it frees; a
-    pool beside an idle caller raised the frontend benchmark's peak RSS by
-    5 %, and this map by 0.3 %.
+    at width 1). Item 0 runs on the calling thread and item ``k`` on worker
+    ``k``, handed out before any worker starts; ``run_experiment`` relies on
+    that to keep its KPCA fit, the run's largest allocation, out of a
+    worker's arena, and to start the fit that its other items may wait for.
+    Each allocating thread gets a malloc arena that keeps the memory it
+    frees; a pool beside an idle caller raised the frontend benchmark's peak
+    RSS by 5 %, and this map by 0.3 %.
 
     Items are taken in order, so when an item fails, every earlier item has
     already been taken and runs to its end; no new item is taken after a
@@ -231,32 +232,25 @@ def _ordered_map(fn: Callable, items: list) -> list:
         return [fn(item) for item in items]
     results: list = [None] * len(items)
     errors: list[BaseException | None] = [None] * len(items)
-    taken = iter(range(len(items)))
+    taken = iter(range(width, len(items)))
     lock = threading.Lock()
     stop = threading.Event()
 
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(items[i])
-        except BaseException as exc:  # re-raised below, in item order
-            errors[i] = exc
-            stop.set()
-
-    def drain() -> None:
-        while not stop.is_set():
+    def drain(i: int | None) -> None:
+        while i is not None:
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, in item order
+                errors[i] = exc
+                stop.set()
             with lock:
-                i = next(taken, None)
-            if i is None:
-                return
-            run(i)
+                i = None if stop.is_set() else next(taken, None)
 
-    first = next(taken)
-    workers = [threading.Thread(target=drain) for _ in range(width - 1)]
+    workers = [threading.Thread(target=drain, args=(k,)) for k in range(1, width)]
     for worker in workers:
         worker.start()
     try:
-        run(first)
-        drain()
+        drain(0)
     finally:
         stop.set()
         for worker in workers:

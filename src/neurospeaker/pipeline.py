@@ -14,16 +14,17 @@ after another. One seeded split (``split_utterances``) serves the KPCA fit
 and every modality.
 
 ``run_experiment`` trains one model per modality (assemble, ``train``,
-``evaluate``: one job each) through two ``_ordered_map`` calls. With BLAS
-pinned, the first runs the KPCA fit, whose LAPACK eigensolve releases the
-GIL, on the calling thread beside the leading jobs that read no EEG30
-(MFCC13 in the default order); the second spreads the remaining jobs over
-the usable CPUs. Each job draws its own ``train.*`` generators, and results
-are gathered in the order of ``modalities``, so the bytes are those of the
-serial loop, which runs unchanged when BLAS is not pinned.
+``evaluate``: one job each) in one ``_ordered_map`` call whose first item
+is the KPCA fit. With BLAS pinned, the fit, whose LAPACK eigensolve
+releases the GIL, stays on the calling thread while workers take the jobs;
+a job that reads EEG30 waits for the fit. Each job draws its own
+``train.*`` generators, and results are gathered in the order of
+``modalities``, so the bytes are those of the serial loop, which runs
+unchanged when BLAS is not pinned.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -486,12 +487,11 @@ def run_experiment(
 
     Mirrors the published comparison: a three-column table of test accuracy
     for MFCC-only, EEG-only, and fused features. The result's dicts follow
-    the order of ``modalities``. The KPCA fit and the leading run of
-    modalities that read no EEG30 are one ``_ordered_map`` call, the fit as
-    item 0 on the calling thread; the remaining modalities are a second
-    call. Only a leading run keeps every item of the first call before
-    every item of the second in serial order, so the failure raised is
-    that of the serial loop.
+    the order of ``modalities``. The KPCA fit and the modalities' jobs are
+    the items of one ``_ordered_map`` call, in serial order, so the failure
+    raised is that of the serial loop. The fit is item 0, on the calling
+    thread; a job that reads EEG30 waits for it, and after a failed fit
+    finds no EEG30 stream and fails behind the fit's error.
     """
     check_dimension_contracts(spec.n_speakers)
     utterances = generate_synthetic(spec)
@@ -505,17 +505,24 @@ def run_experiment(
     partition = split_utterances(features, speakers, config.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
 
+    fitted = threading.Event()
+
+    def fit() -> kpca.KpcaModel:
+        try:
+            return reduce_eeg(features, train_ids, kpca_config, config.seed)
+        finally:
+            fitted.set()
+
     def job(modality: Modality) -> tuple[TrainResult, EvalReport]:
+        if reads_eeg30(modality):
+            fitted.wait()
         dataset = assemble_dataset(features, speakers, modality, config.seed)
         result = train(dataset, config)
         return result, evaluate(result.params, dataset, result.stats, result.curves)
 
-    lead = next((k for k, m in enumerate(modalities) if reads_eeg30(m)), len(modalities))
-    fit = partial(reduce_eeg, features, train_ids, kpca_config, config.seed)
     kpca_model, *outcomes = _ordered_map(
-        lambda task: task(), [fit, *(partial(job, m) for m in modalities[:lead])]
+        lambda task: task(), [fit, *(partial(job, m) for m in modalities)]
     )
-    outcomes += _ordered_map(job, list(modalities[lead:]))
     return ExperimentResult(
         accuracies={
             MODALITY_COLUMNS.get(m, m.name): report.test_accuracy

@@ -281,9 +281,9 @@ class TestUtteranceMap:
 
 
 class TestExperimentSchedule:
-    """With the map at width 2, ``run_experiment`` trains the leading
-    modalities that read no EEG30 beside the KPCA fit and the rest side by
-    side after it, with the bytes, the order and the failure of the serial
+    """With the map wider than 1, ``run_experiment`` trains the modalities
+    that read no EEG30 beside the KPCA fit and the rest as soon as the fit
+    is done, with the bytes, the order and the failure of the serial
     loop."""
 
     SPEC = SynthSpec(n_speakers=2, utterances_per_speaker=5, duration_s=0.5, seed=12)
@@ -315,7 +315,8 @@ class TestExperimentSchedule:
     @pytest.mark.parametrize("modalities", [DEFAULT, (Modality.FUSED43, Modality.MFCC13)])
     def test_two_workers_equal_one_bit_for_bit(self, modalities, monkeypatch):
         """The last two modalities train after the fit, each waiting for the
-        other to start, so the main thread and one helper each train one."""
+        other to start, so after the fit the main thread and one helper each
+        train one."""
         threads = {}
         after_fit = threading.Barrier(2, timeout=60)
 
@@ -328,9 +329,8 @@ class TestExperimentSchedule:
 
         one = self._run(modalities, 1, monkeypatch)
         two = self._run(modalities, 2, monkeypatch, train=train)
-        assert threads[modalities[-2]] is threading.main_thread()
-        assert threads[modalities[-1]] is not threading.main_thread()
-        assert threads[Modality.MFCC13] is not threading.main_thread()
+        last_two = {threads[m] for m in modalities[-2:]}
+        assert len(last_two) == 2 and threading.main_thread() in last_two
         assert list(two.results) == list(two.reports) == list(one.results) == list(modalities)
         assert list(two.accuracies.items()) == list(one.accuracies.items())
         assert two.kpca_model.alphas.tobytes() == one.kpca_model.alphas.tobytes()
@@ -365,6 +365,23 @@ class TestExperimentSchedule:
         self._run(self.DEFAULT, 2, monkeypatch, fit_kpca=fit_kpca, train=train)
         assert fit_threads == [threading.main_thread()]
         assert len(mfcc_threads) == 1 and mfcc_threads[0] is not threading.main_thread()
+
+    def test_all_modalities_train_at_once_at_width_4(self, monkeypatch):
+        """The three trainings each wait for the other two to start, so the
+        run ends only if EEG30 and FUSED43 start once the fit is done, while
+        MFCC13, which started beside the fit, still trains."""
+        all_three = threading.Barrier(3, timeout=60)
+        threads = {}
+
+        def train(original, dataset, config):
+            threads[self._modality(dataset)] = threading.current_thread()
+            all_three.wait()
+            return original(dataset, config)
+
+        result = self._run(self.DEFAULT, 4, monkeypatch, train=train)
+        assert len(set(threads.values())) == 3
+        assert threading.main_thread() not in threads.values()
+        assert list(result.results) == list(self.DEFAULT)
 
     @pytest.mark.parametrize("modalities, failing, raised, trained", [
         # the fit fails after MFCC13, beside it, has failed
