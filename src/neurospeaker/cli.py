@@ -27,8 +27,8 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .features import FeatureSequence, FeatureStats, Modality
-from .synth import AUDIO_RATE_HZ, EEG_RATE_HZ, generate_synthetic
+from .features import AUDIO_RATE_HZ, FeatureSequence, FeatureStats, Modality
+from .synth import EEG_RATE_HZ, generate_synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -299,14 +299,15 @@ def cmd_eval(args) -> int:
     if params.input_dim not in TRAINABLE:
         raise DimensionError(f"checkpoint input dim {params.input_dim} matches no modality")
     modality = TRAINABLE[params.input_dim]
+    # read_checkpoint admits both norm.* tensors or neither; train writes both.
+    if "norm.mean" not in extras:
+        raise FormatError(f"{args.checkpoint}: checkpoint has no norm.mean and norm.std")
     dataset = _assemble_from_dir(args.features, config, modality)
-    stats = None
-    if "norm.mean" in extras:  # read_checkpoint admits both or neither
-        stats = FeatureStats(
-            mean=extras["norm.mean"].astype(np.float64),
-            std=extras["norm.std"].astype(np.float64),
-            modality=modality,
-        )
+    stats = FeatureStats(
+        mean=extras["norm.mean"].astype(np.float64),
+        std=extras["norm.std"].astype(np.float64),
+        modality=modality,
+    )
     report = pipeline.evaluate(params, dataset, stats)
     lines = [
         f"modality: {modality.name}",

@@ -44,15 +44,10 @@ class ConfigKey:
     help: str
     owner: type
     field: str
-    none_as: object = None  # flat value that stands for a None field value
 
     @property
     def default(self):
-        value = next(f.default for f in fields(self.owner) if f.name == self.field)
-        return self.none_as if value is None else value
-
-    def field_value(self, value):
-        return None if value == self.none_as else value
+        return next(f.default for f in fields(self.owner) if f.name == self.field)
 
 
 REGISTRY: tuple[ConfigKey, ...] = (
@@ -86,7 +81,7 @@ REGISTRY: tuple[ConfigKey, ...] = (
     ConfigKey("kpca.kernel", str, "decision", "kernel kind: linear, poly, or rbf", KernelSpec, "kind"),
     ConfigKey("kpca.degree", int, "decision", "polynomial kernel degree", KernelSpec, "degree"),
     ConfigKey("kpca.coef0", _finite_float, "decision", "polynomial kernel offset", KernelSpec, "coef0"),
-    ConfigKey("kpca.gamma", _finite_float, "decision", "rbf width; 0 means 1/dim", KernelSpec, "gamma", none_as=0.0),
+    ConfigKey("kpca.gamma", _finite_float, "decision", "rbf width; 0 means 1/dim", KernelSpec, "gamma"),
     ConfigKey("kpca.max_fit_frames", int, "decision", "training frames used to fit the kernel matrix", KpcaConfig, "max_fit_frames"),
     # nn / train
     ConfigKey("nn.tcn_filters", int, "published", "TCN filter count", TrainConfig, "tcn_filters"),
@@ -125,7 +120,7 @@ class RunConfig:
         for spec in fields(cls):
             key = _BY_FIELD.get((cls, spec.name))
             if key is not None:
-                kwargs[spec.name] = key.field_value(self.values[key.name])
+                kwargs[spec.name] = self.values[key.name]
             elif is_dataclass(spec.default_factory):
                 kwargs[spec.name] = self._build(spec.default_factory)
         kwargs.update(overrides)

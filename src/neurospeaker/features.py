@@ -24,6 +24,8 @@ from .errors import AlignmentError, DimensionError, InputError
 EEG_CHANNELS = 31
 EEG_FEATURES_PER_CHANNEL = 5
 FEATURE_RATE_HZ = 100
+AUDIO_RATE_HZ = 16_000  # the one audio rate the MFCC front end reads
+MFCC_LOG_FLOOR = 1e-10  # mel energies are floored here before the log
 MOVING_WINDOW = 10  # samples per sub-window of the moving-window average
 # Channels whose EEG155 statistics are computed together: at 2,000 samples a
 # block's (channels, frames, frame_length) windows take 0.6 MB, not 4.7 MB.
@@ -47,16 +49,16 @@ _MODALITY_DIMS = {
     Modality.MFCC13: 13,
     Modality.EEG155: EEG_CHANNELS * EEG_FEATURES_PER_CHANNEL,
     Modality.EEG30: 30,
-    Modality.FUSED43: 43,
 }
+_MODALITY_DIMS[Modality.FUSED43] = _MODALITY_DIMS[Modality.MFCC13] + _MODALITY_DIMS[Modality.EEG30]
 
 
 @dataclass
 class FeatureSequence:
-    """Time-major frame matrix (T x D) at 100 Hz with a modality tag."""
+    """Time-major frame matrix (T x D, T >= 1) at ``FEATURE_RATE_HZ`` with a
+    modality tag."""
 
     frames: np.ndarray
-    rate_hz: int
     modality: Modality
     utterance_id: str
 
@@ -64,13 +66,13 @@ class FeatureSequence:
         self.frames = np.asarray(self.frames, dtype=np.float32)
         if self.frames.ndim != 2:
             raise InputError("frames must be a 2-D (time x dim) array")
+        if self.frames.shape[0] < 1:
+            raise InputError(f"no frames in utterance {self.utterance_id!r}")
         if self.frames.shape[1] != self.modality.dim:
             raise DimensionError(
                 f"{self.modality.name} expects {self.modality.dim} dims, "
                 f"got {self.frames.shape[1]}"
             )
-        if self.rate_hz <= 0:
-            raise InputError(f"rate_hz must be positive, got {self.rate_hz}")
         if not np.all(np.isfinite(self.frames)):
             raise InputError(f"non-finite features in utterance {self.utterance_id!r}")
 
@@ -172,7 +174,7 @@ def extract_eeg_features(
         )
         _channel_features(block, spec, feats[:, lo : lo + EEG_CHANNEL_BLOCK])
     frames = feats.reshape(n_frames, -1)
-    return FeatureSequence(frames, FEATURE_RATE_HZ, Modality.EEG155, utterance_id)
+    return FeatureSequence(frames, Modality.EEG155, utterance_id)
 
 
 def _channel_features(eeg: SignalRecord, spec: FrameSpec, out: np.ndarray) -> None:
@@ -210,16 +212,14 @@ def _channel_features(eeg: SignalRecord, spec: FrameSpec, out: np.ndarray) -> No
 
 @dataclass(frozen=True)
 class MfccConfig:
-    sample_rate_hz: int = 16000
     window_ms: float = 25.0
     fft_size: int = 512
     n_filters: int = 26
     preemphasis: float = 0.97
-    log_floor: float = 1e-10
 
     def __post_init__(self):
         # What extract_mfcc would reject only after synthesis, rejected here.
-        hop = _feature_hop(self.sample_rate_hz)
+        hop = _feature_hop(AUDIO_RATE_HZ)
         if self.frame_length < hop:
             raise InputError(
                 f"MFCC window of {self.window_ms:g} ms ({self.frame_length} samples)"
@@ -229,11 +229,11 @@ class MfccConfig:
             raise InputError(
                 f"need fft_size >= 1 and n_filters >= 1, got {self.fft_size} and {self.n_filters}"
             )
-        mel_filterbank(self.n_filters, self.fft_size, self.sample_rate_hz)
+        mel_filterbank(self.n_filters, self.fft_size, AUDIO_RATE_HZ)
 
     @property
     def frame_length(self) -> int:
-        return int(round(self.sample_rate_hz * self.window_ms / 1000.0))
+        return int(round(AUDIO_RATE_HZ * self.window_ms / 1000.0))
 
 
 def hz_to_mel(f):
@@ -280,9 +280,9 @@ def extract_mfcc(
     utterance_id: str = "",
 ) -> FeatureSequence:
     """13 mel-frequency cepstral coefficients per 10 ms frame of mono 16 kHz audio."""
-    if audio.sample_rate_hz != config.sample_rate_hz:
+    if audio.sample_rate_hz != AUDIO_RATE_HZ:
         raise InputError(
-            f"expected {config.sample_rate_hz} Hz audio, got {audio.sample_rate_hz};"
+            f"expected {AUDIO_RATE_HZ} Hz audio, got {audio.sample_rate_hz};"
             " resample upstream"
         )
     if audio.channels != 1:
@@ -294,11 +294,11 @@ def extract_mfcc(
     windows = frame_signal(record, spec)[0]  # (T, frame_length)
     hann = np.hanning(config.frame_length)
     power = np.abs(np.fft.rfft(windows * hann, n=config.fft_size, axis=-1)) ** 2
-    bank = mel_filterbank(config.n_filters, config.fft_size, config.sample_rate_hz)
+    bank = mel_filterbank(config.n_filters, config.fft_size, AUDIO_RATE_HZ)
     energies = power @ bank.T
-    log_mel = np.log(np.maximum(energies, config.log_floor))
+    log_mel = np.log(np.maximum(energies, MFCC_LOG_FLOOR))
     coeffs = log_mel @ _dct_matrix(Modality.MFCC13.dim, config.n_filters).T
-    return FeatureSequence(coeffs, FEATURE_RATE_HZ, Modality.MFCC13, utterance_id)
+    return FeatureSequence(coeffs, Modality.MFCC13, utterance_id)
 
 
 def fuse(mfcc: FeatureSequence, eeg_reduced: FeatureSequence) -> FeatureSequence:
@@ -311,11 +311,9 @@ def fuse(mfcc: FeatureSequence, eeg_reduced: FeatureSequence) -> FeatureSequence
         raise AlignmentError(
             f"utterance mismatch: {mfcc.utterance_id!r} vs {eeg_reduced.utterance_id!r}"
         )
-    if mfcc.rate_hz != eeg_reduced.rate_hz:
-        raise AlignmentError(f"rate mismatch: {mfcc.rate_hz} vs {eeg_reduced.rate_hz}")
     t = min(mfcc.n_frames, eeg_reduced.n_frames)
     fused = np.concatenate([mfcc.frames[:t], eeg_reduced.frames[:t]], axis=1)
-    return FeatureSequence(fused, mfcc.rate_hz, Modality.FUSED43, mfcc.utterance_id)
+    return FeatureSequence(fused, Modality.FUSED43, mfcc.utterance_id)
 
 
 @dataclass(frozen=True)
@@ -347,4 +345,4 @@ def normalize_features(stats: FeatureStats, seq: FeatureSequence) -> FeatureSequ
         )
     denom = np.maximum(stats.std, FeatureStats.STD_FLOOR)
     frames = (seq.frames.astype(np.float64) - stats.mean) / denom
-    return FeatureSequence(frames, seq.rate_hz, seq.modality, seq.utterance_id)
+    return FeatureSequence(frames, seq.modality, seq.utterance_id)

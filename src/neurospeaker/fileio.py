@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import SignalRecord
 from .errors import DimensionError, FormatError, InputError
-from .features import FeatureSequence, Modality
+from .features import FEATURE_RATE_HZ, FeatureSequence, Modality
 from .nn import PARAMETERS, ClassifierParams, parameter_shapes
 
 FSEQ_MAGIC = b"FSEQ"
@@ -52,13 +52,13 @@ def _write_csv(path: Path | str, header, rows) -> None:
 # ---------------------------------------------------------------- FSEQ files
 
 def write_fseq(path: Path | str, seq: FeatureSequence) -> None:
-    """magic 'FSEQ', version u16, modality u8, rate_hz u16, T u32, D u32,
-    then T*D float32 row-major."""
+    """magic 'FSEQ', version u16, modality u8, rate_hz u16 (always
+    ``FEATURE_RATE_HZ``), T u32, D u32, then T*D float32 row-major."""
     frames = np.ascontiguousarray(seq.frames, dtype="<f4")
     t, d = frames.shape
     with open(path, "wb") as fh:
         fh.write(FSEQ_MAGIC)
-        fh.write(struct.pack("<HBHII", FORMAT_VERSION, int(seq.modality), seq.rate_hz, t, d))
+        fh.write(struct.pack("<HBHII", FORMAT_VERSION, int(seq.modality), FEATURE_RATE_HZ, t, d))
         fh.write(frames.tobytes())
 
 
@@ -69,6 +69,8 @@ def read_fseq(path: Path | str, utterance_id: str = "") -> FeatureSequence:
             modality = Modality(modality_code)
         except ValueError as exc:
             raise FormatError(f"{path}: unknown modality code {modality_code}") from exc
+        if rate_hz != FEATURE_RATE_HZ:
+            raise FormatError(f"{path}: frame rate {rate_hz} Hz, expected {FEATURE_RATE_HZ} Hz")
         size = 4 * t * d
         # Checked before reading: a corrupt T x D can claim more than memory holds.
         if size > os.fstat(fh.fileno()).st_size - fh.tell():
@@ -76,8 +78,8 @@ def read_fseq(path: Path | str, utterance_id: str = "") -> FeatureSequence:
         payload = fh.read(size)
         frames = np.frombuffer(payload, dtype="<f4").reshape(t, d)
     try:
-        return FeatureSequence(frames, rate_hz, modality, utterance_id)
-    except InputError as exc:  # e.g. rate 0, a D its modality disagrees with, a NaN
+        return FeatureSequence(frames, modality, utterance_id)
+    except InputError as exc:  # e.g. no frames, a D its modality disagrees with, a NaN
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -154,8 +156,9 @@ def write_manifest(path: Path | str, rows: list[tuple[str, str, str, str]]) -> N
 
 
 def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """Rows of a CSV index whose header is exactly ``columns``; a row with a
-    missing or an extra field is a format error."""
+    """Rows of a CSV index whose header is exactly ``columns``, the first
+    of which is ``utterance_id``; a row with a missing or an extra field, or
+    an utterance id an earlier row holds, is a format error."""
     try:
         with open(path, newline="") as fh:
             text = fh.read()
@@ -165,11 +168,15 @@ def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str
     try:
         if reader.fieldnames is None or tuple(reader.fieldnames) != columns:
             raise FormatError(f"{path}: columns {reader.fieldnames} != {list(columns)}")
-        rows = []
+        rows, seen = [], set()
         for row in reader:
             # DictReader fills missing fields with None and keys extra ones by None.
             if None in row or None in row.values():
                 raise FormatError(f"{path}: line {reader.line_num} needs {len(columns)} fields")
+            utt_id = row["utterance_id"]
+            if utt_id in seen:
+                raise FormatError(f"{path}: line {reader.line_num} repeats utterance id {utt_id!r}")
+            seen.add(utt_id)
             rows.append(row)
     except csv.Error as exc:  # e.g. a field longer than the csv module's limit
         # line_num counts the lines read before the record that failed

@@ -57,15 +57,15 @@ class KernelSpec:
     kind: str = "poly"
     degree: int = 3
     coef0: float = 1.0
-    gamma: float | None = None  # RBF width; defaults to 1/dim at evaluation
+    gamma: float = 0.0  # RBF width; 0 means 1/dim at evaluation
 
     def __post_init__(self):
         if self.kind not in ("linear", "poly", "rbf"):
             raise InputError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "poly" and self.degree < 1:
             raise InputError(f"polynomial degree must be >= 1, got {self.degree}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise InputError(f"gamma must be positive, got {self.gamma}")
+        if self.gamma < 0:
+            raise InputError(f"gamma must be >= 0, got {self.gamma}")
 
 
 def _kernel_step(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
@@ -81,7 +81,7 @@ def _kernel_step(spec: KernelSpec, x: np.ndarray, y: np.ndarray):
             np.power(band, spec.degree, out=band)
 
         return step
-    gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
+    gamma = spec.gamma or 1.0 / x.shape[1]
     x_sq = np.sum(x * x, axis=1)[:, None]
     y_sq = np.sum(y * y, axis=1)[None, :]
 

@@ -10,7 +10,7 @@ features and the KPCA projection run per utterance; when OpenBLAS is pinned
 to one thread, the utterances are spread over the usable CPUs
 (``core._ordered_map``), and since each draws from its own generator and
 results are gathered in corpus order, the bytes are those of one utterance
-after another. One seeded split (``split_utterances``) serves the KPCA fit
+after another. One seeded split (``assemble_dataset``) serves the KPCA fit
 and every modality.
 
 ``run_experiment`` trains one model per modality (assemble, ``train``,
@@ -34,8 +34,6 @@ from . import dsp, ica, kpca, nn
 from .core import LabeledDataset, SignalRecord, _ordered_map, derive_rng, split_dataset
 from .errors import DimensionError, InputError
 from .features import (
-    EEG_CHANNELS,
-    EEG_FEATURES_PER_CHANNEL,
     FeatureSequence,
     FeatureStats,
     MfccConfig,
@@ -147,14 +145,8 @@ class TrainResult:
 
 
 def check_dimension_contracts(n_speakers: int) -> None:
-    """The arithmetic the whole pipeline is built on; asserted on every run."""
-    if EEG_CHANNELS * EEG_FEATURES_PER_CHANNEL != Modality.EEG155.dim:
-        raise DimensionError(
-            f"{EEG_CHANNELS} channels x {EEG_FEATURES_PER_CHANNEL} features "
-            f"!= {Modality.EEG155.dim}"
-        )
-    if Modality.MFCC13.dim + Modality.EEG30.dim != Modality.FUSED43.dim:
-        raise DimensionError("fusion dims are inconsistent")
+    """The one width a run chooses: a classifier needs two speakers or more.
+    The stream widths are fixed by ``Modality.dim``."""
     if n_speakers < 2:
         raise DimensionError(f"need at least 2 speakers, got {n_speakers}")
 
@@ -293,9 +285,7 @@ def reduce_eeg(
         [streams["eeg155"] for streams in features.values()],
     )
     for (utt_id, streams), frames in zip(features.items(), reduced):
-        streams["eeg30"] = FeatureSequence(
-            frames, streams["eeg155"].rate_hz, Modality.EEG30, utt_id
-        )
+        streams["eeg30"] = FeatureSequence(frames, Modality.EEG30, utt_id)
     return model
 
 
@@ -316,17 +306,10 @@ def split_utterances(
     speakers: dict[str, int],
     seed: int = 0,
 ) -> dict[str, str]:
-    """The partition tag ("train", "val" or "test") of every utterance id.
-
-    This is the run's one seeded split: the KPCA fit uses its training
-    utterances and every modality's dataset carries it, so no stage can
-    train on another stage's test utterances.
-    """
-    ids = sorted(features)
-    split = split_dataset(
-        [(features[i]["eeg155"], speakers[i]) for i in ids], rng=derive_rng(seed, "split")
-    )
-    return dict(zip(ids, split.partition))
+    """The partition tag ("train", "val" or "test") of every utterance id,
+    read off the EEG155 dataset, which exists before the KPCA fit."""
+    dataset = assemble_dataset(features, speakers, Modality.EEG155, seed)
+    return dict(zip(sorted(features), dataset.partition))
 
 
 def assemble_dataset(
@@ -335,15 +318,14 @@ def assemble_dataset(
     modality: Modality,
     seed: int = 0,
 ) -> LabeledDataset:
-    """Build the labelled dataset for one modality on the seeded split."""
-    partition = split_utterances(features, speakers, seed)
-    ids = sorted(features)
-    items = [(modality_sequence(features[i], modality), speakers[i]) for i in ids]
-    return LabeledDataset(
-        items=items,
-        n_speakers=max(label for _, label in items) + 1,
-        partition=tuple(partition[i] for i in ids),
-    )
+    """The labelled dataset for one modality on the run's one seeded split.
+
+    The split sees only the speakers of the sorted utterance ids, so every
+    modality's dataset and the KPCA fit (``split_utterances``) share it, and
+    no stage can train on another stage's test utterances.
+    """
+    items = [(modality_sequence(features[i], modality), speakers[i]) for i in sorted(features)]
+    return split_dataset(items, rng=derive_rng(seed, "split"))
 
 
 def predict(

@@ -18,9 +18,8 @@ import numpy as np
 
 from .core import SignalRecord, derive_rng
 from .errors import InputError
-from .features import EEG_CHANNELS
+from .features import AUDIO_RATE_HZ, EEG_CHANNELS
 
-AUDIO_RATE_HZ = 16_000
 EEG_RATE_HZ = 1_000
 
 BASE_FORMANTS_HZ = (500.0, 1500.0, 2500.0)
@@ -65,9 +64,9 @@ class SynthSpec:
                 f"noise_db must lie within +-{NOISE_DB_LIMIT:g} dB, got {self.noise_db}"
             )
 
-    def samples_at(self, rate_hz: float) -> int:
-        """Samples in each recording sampled at ``rate_hz``."""
-        return int(round(self.duration_s * rate_hz))
+    def samples_at(self, sample_rate_hz: float) -> int:
+        """Samples in each recording sampled at ``sample_rate_hz``."""
+        return int(round(self.duration_s * sample_rate_hz))
 
 
 @dataclass

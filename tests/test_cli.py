@@ -154,21 +154,24 @@ class TestStages:
 
     @pytest.mark.parametrize("kind, offset, new", BAD_HEADER_VALUES.values(), ids=list(BAD_HEADER_VALUES))
     def test_stage_on_bad_header_value_exits_2(self, staged, tmp_path, kind, offset, new):
-        """preprocess reads .eeg and .wav files, train reads .fseq files."""
+        """preprocess reads .eeg and .wav files; train reads .fseq files, for
+        a single stream and for the fused one."""
         _, corpus, _, feats = staged
         if kind == "fseq":
             broken = tmp_path / "feats"
             shutil.copytree(feats, broken)
             patch_bytes(sorted((broken / "mfcc13").glob("*.fseq"))[0], offset, new)
-            argv = ["train", "--features", str(broken), "--out", str(tmp_path / "run"),
-                    "--modality", "MFCC13", "--set", "train.epochs=1"]
+            runs = [["train", "--features", str(broken), "--out", str(tmp_path / "run"),
+                     "--modality", modality, "--set", "train.epochs=1"]
+                    for modality in ("MFCC13", "FUSED43")]
         else:
             broken = tmp_path / "corpus"
             shutil.copytree(corpus, broken)
             folder = "eeg" if kind == "eeg" else "audio"
             patch_bytes(sorted((broken / folder).glob(f"*.{kind}"))[0], offset, new)
-            argv = ["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean")]
-        assert main([*argv, "--seed", "21", *TINY]) == 2
+            runs = [["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean")]]
+        for argv in runs:
+            assert main([*argv, "--seed", "21", *TINY]) == 2
 
     def test_preprocess_on_mixed_sample_rates_exits_3(self, staged, tmp_path, capsys):
         _, corpus, _, _ = staged
@@ -203,7 +206,7 @@ class TestStages:
         write_bad_checkpoint(path, name, array)
         assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
 
-    @pytest.mark.parametrize("bad", ["mean cut to 5", "std -1"])
+    @pytest.mark.parametrize("bad", ["mean cut to 5", "std -1", "norm.* dropped"])
     def test_eval_checkpoint_with_unfitting_norm_exits_2(self, staged, tmp_path, capsys, bad):
         """norm.* extras that do not fit the checkpoint's input fail as a
         format error naming the file, not as a broadcast traceback or a
@@ -215,8 +218,10 @@ class TestStages:
         params, extras, _ = fileio.read_checkpoint(run / "checkpoint.nspk")
         if bad == "mean cut to 5":
             extras["norm.mean"] = extras["norm.mean"][:5]
-        else:
+        elif bad == "std -1":
             extras["norm.std"] = np.full_like(extras["norm.std"], -1.0)
+        else:
+            extras = {}
         path = tmp_path / "bad.nspk"
         fileio.write_checkpoint(path, params, extras)
         capsys.readouterr()
@@ -240,7 +245,7 @@ class TestStages:
         _, _, _, feats = staged
         bogus = nn.init_classifier(43, 8, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
         path = tmp_path / "bogus.nspk"
-        fileio.write_checkpoint(path, bogus)
+        fileio.write_checkpoint(path, bogus, {"norm.mean": np.zeros(43), "norm.std": np.ones(43)})
         assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 3
 
     def test_train_on_short_feature_index_row_exits_2(self, staged, tmp_path):
@@ -255,7 +260,7 @@ class TestStages:
                      "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"])
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["empty wav", "short manifest row"])
+    @pytest.mark.parametrize("damage", ["empty wav", "short manifest row", "repeated utterance id"])
     def test_preprocess_on_damaged_corpus_exits_2(self, staged, tmp_path, damage):
         _, corpus, _, _ = staged
         broken = tmp_path / "corpus"
@@ -265,7 +270,11 @@ class TestStages:
         else:
             manifest = broken / "manifest.csv"
             lines = manifest.read_text().splitlines()
-            lines[1] = lines[1].rsplit(",", 1)[0]
+            if damage == "short manifest row":
+                lines[1] = lines[1].rsplit(",", 1)[0]
+            else:  # utt0000 listed a second time, under another speaker
+                utt, _, paths = lines[1].split(",", 2)
+                lines.append(",".join([utt, "spk3", paths]))
             manifest.write_text("\n".join(lines) + "\n")
         assert main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY]) == 2
 

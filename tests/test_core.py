@@ -22,7 +22,7 @@ def make_items(counts_per_speaker):
     for speaker, count in enumerate(counts_per_speaker):
         for _ in range(count):
             seq = FeatureSequence(
-                np.zeros((5, 13), dtype=np.float32), 100, Modality.MFCC13, f"utt{k:04d}"
+                np.zeros((5, 13), dtype=np.float32), Modality.MFCC13, f"utt{k:04d}"
             )
             items.append((seq, speaker))
             k += 1

@@ -10,6 +10,7 @@ from scipy import stats
 from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.errors import AlignmentError, DimensionError, InputError
 from neurospeaker.features import (
+    MFCC_LOG_FLOOR,
     MOVING_WINDOW,
     FeatureSequence,
     Modality,
@@ -168,7 +169,6 @@ class TestExtractEegFeatures:
         x = make_rng(2).standard_normal((31, 500))
         seq = extract_eeg_features(SignalRecord(500.0, x), 50)
         assert seq.frames.shape == (1 + (500 - 50) // 5, 155)
-        assert seq.rate_hz == 100
         np.testing.assert_allclose(seq.frames[3, :5], eeg_frame_features(x[0, 15:65]), rtol=1e-6)
         with pytest.raises(InputError, match="250"):
             extract_eeg_features(SignalRecord(250.0, x), 50)
@@ -229,14 +229,13 @@ class TestMfcc:
         seq = extract_mfcc(audio)
         assert seq.dim == 13
         assert seq.modality is Modality.MFCC13
-        assert seq.rate_hz == 100
 
     def test_silence_concentrates_in_c0(self):
         config = MfccConfig()
         seq = extract_mfcc(self._audio(np.zeros(16000)), config)
         # constant log-mel vector: orthonormal DCT-II puts sqrt(N)*log(floor)
         # in c0 and zero elsewhere
-        expected_c0 = math.sqrt(config.n_filters) * math.log(config.log_floor)
+        expected_c0 = math.sqrt(config.n_filters) * math.log(MFCC_LOG_FLOOR)
         frames = seq.frames
         np.testing.assert_allclose(frames, np.tile(frames[0], (frames.shape[0], 1)), atol=1e-6)
         assert abs(frames[0, 0] - expected_c0) < 1e-3
@@ -270,7 +269,6 @@ class TestMfcc:
         {"fft_size": 16},  # leaves the lowest mel filters without a bin
         {"n_filters": 0},
         {"n_filters": -1},
-        {"sample_rate_hz": 16050},  # not a whole multiple of the frame rate
     ])
     def test_config_rejects_what_extraction_cannot_run(self, settings):
         with pytest.raises(InputError):
@@ -294,7 +292,6 @@ class TestFusion:
     def _seq(self, t, modality, utt="u0"):
         return FeatureSequence(
             np.arange(t * modality.dim, dtype=np.float32).reshape(t, modality.dim),
-            100,
             modality,
             utt,
         )
@@ -310,12 +307,6 @@ class TestFusion:
     def test_id_mismatch_rejected(self):
         with pytest.raises(AlignmentError):
             fuse(self._seq(10, Modality.MFCC13, "a"), self._seq(10, Modality.EEG30, "b"))
-
-    def test_rate_mismatch_rejected(self):
-        eeg = self._seq(10, Modality.EEG30)
-        eeg.rate_hz = 50
-        with pytest.raises(AlignmentError):
-            fuse(self._seq(10, Modality.MFCC13), eeg)
 
     def test_wrong_modalities_rejected(self):
         with pytest.raises(AlignmentError):
@@ -346,7 +337,6 @@ class TestNormalization:
         return [
             FeatureSequence(
                 (rng.standard_normal((t, 13)) + shift).astype(np.float32),
-                100,
                 Modality.MFCC13,
                 f"u{i}",
             )
@@ -364,7 +354,7 @@ class TestNormalization:
 
     def test_constant_dimension_maps_to_zero(self):
         frames = np.ones((20, 13), dtype=np.float32)
-        seq = FeatureSequence(frames, 100, Modality.MFCC13, "u")
+        seq = FeatureSequence(frames, Modality.MFCC13, "u")
         stats = compute_feature_stats([seq])
         out = normalize_features(stats, seq)
         np.testing.assert_array_equal(out.frames, 0.0)
@@ -385,17 +375,17 @@ class TestNormalization:
 @given(st.sampled_from(list(Modality)), st.integers(min_value=1, max_value=50))
 def test_modality_dimension_contract(modality, t):
     frames = np.zeros((t, modality.dim), dtype=np.float32)
-    seq = FeatureSequence(frames, 100, modality, "u")
+    seq = FeatureSequence(frames, modality, "u")
     assert seq.dim == modality.dim
     with pytest.raises(DimensionError):
-        FeatureSequence(np.zeros((t, modality.dim + 1), dtype=np.float32), 100, modality, "u")
+        FeatureSequence(np.zeros((t, modality.dim + 1), dtype=np.float32), modality, "u")
 
 
 def test_non_finite_features_rejected():
     frames = np.zeros((3, 13), dtype=np.float32)
     frames[1, 4] = np.nan
     with pytest.raises(InputError):
-        FeatureSequence(frames, 100, Modality.MFCC13, "u")
+        FeatureSequence(frames, Modality.MFCC13, "u")
 
 
 @settings(max_examples=60, deadline=None)

@@ -65,6 +65,8 @@ BAD_NORM_EXTRAS = {
 BAD_HEADER_VALUES = {
     "eeg rate 0": ("eeg", 8, struct.pack("<I", 0)),
     "fseq rate 0": ("fseq", 7, struct.pack("<H", 0)),
+    "fseq rate 50": ("fseq", 7, struct.pack("<H", 50)),
+    "fseq with no frames": ("fseq", 9, struct.pack("<I", 0)),
     "fseq D disagrees with modality": ("fseq", 6, bytes([int(Modality.EEG30)])),  # D stays 13
     "wav rate 0": ("wav", 24, struct.pack("<I", 0)),
 }
@@ -89,7 +91,7 @@ def write_sample(path, kind):
     if kind == "eeg":
         fileio.write_eeg(path, SignalRecord(1000, rng.standard_normal((31, 20))))
     elif kind == "fseq":
-        fileio.write_fseq(path, FeatureSequence(rng.standard_normal((4, 13)), 100, Modality.MFCC13, "u"))
+        fileio.write_fseq(path, FeatureSequence(rng.standard_normal((4, 13)), Modality.MFCC13, "u"))
     elif kind == "nspk":
         fileio.write_checkpoint(path, nn.init_classifier(5, 3, rng, tcn_filters=2, tcn_width=2, gru_hidden=3))
     else:
@@ -135,7 +137,7 @@ def samples(tmp_path_factory):
     rng = make_rng(4)
     paths = {kind: root / f"sample.{kind}" for kind in ("eeg", "fseq")}
     fileio.write_eeg(paths["eeg"], SignalRecord(512, rng.standard_normal((2, 3))))
-    fileio.write_fseq(paths["fseq"], FeatureSequence(rng.standard_normal((1, 13)), 100, Modality.MFCC13, "u"))
+    fileio.write_fseq(paths["fseq"], FeatureSequence(rng.standard_normal((1, 13)), Modality.MFCC13, "u"))
     return paths
 
 
@@ -170,7 +172,7 @@ def test_corrupt_fseq_rejected_or_valid(samples, data):
         seq = fileio.read_fseq(path)
     except FormatError:
         return
-    assert seq.rate_hz > 0 and seq.dim == seq.modality.dim
+    assert seq.dim == seq.modality.dim
     assert np.all(np.isfinite(seq.frames))
 
 
@@ -233,7 +235,7 @@ def _read_index_or_reject(path, columns):
 def test_corrupt_index_rejected_or_valid(tmp_path_factory, kind, data):
     columns, row = INDEXES[kind]
     path = tmp_path_factory.mktemp("index") / f"{kind}.csv"
-    write_index(path, columns, [row, row])
+    write_index(path, columns, [row, ("u1", *row[1:])])
     path.write_bytes(_corrupt(data, path.read_bytes()))
     _read_index_or_reject(path, columns)
 
@@ -261,17 +263,16 @@ def test_index_field_beyond_the_csv_field_limit_rejected(tmp_path, kind):
 class TestFseq:
     def test_round_trip(self, tmp_path):
         frames = make_rng(0).standard_normal((17, 13)).astype(np.float32)
-        seq = FeatureSequence(frames, 100, Modality.MFCC13, "utt0001")
+        seq = FeatureSequence(frames, Modality.MFCC13, "utt0001")
         path = tmp_path / "a.fseq"
         fileio.write_fseq(path, seq)
         loaded = fileio.read_fseq(path, "utt0001")
         np.testing.assert_array_equal(loaded.frames, frames)
         assert loaded.modality is Modality.MFCC13
-        assert loaded.rate_hz == 100
         assert loaded.utterance_id == "utt0001"
 
     def test_header_layout(self, tmp_path):
-        seq = FeatureSequence(np.zeros((2, 30), dtype=np.float32), 100, Modality.EEG30, "u")
+        seq = FeatureSequence(np.zeros((2, 30), dtype=np.float32), Modality.EEG30, "u")
         path = tmp_path / "b.fseq"
         fileio.write_fseq(path, seq)
         raw = path.read_bytes()
@@ -288,7 +289,7 @@ class TestFseq:
             fileio.read_fseq(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        seq = FeatureSequence(np.zeros((4, 13), dtype=np.float32), 100, Modality.MFCC13, "u")
+        seq = FeatureSequence(np.zeros((4, 13), dtype=np.float32), Modality.MFCC13, "u")
         path = tmp_path / "c.fseq"
         fileio.write_fseq(path, seq)
         data = path.read_bytes()
@@ -299,7 +300,7 @@ class TestFseq:
     @pytest.mark.parametrize("t, d", [(5, 13), (0xFFFFFFFF, 0xFFFFFFFF)])
     def test_header_claiming_more_than_the_file_rejected(self, tmp_path, t, d):
         """One frame more than the payload holds, and a T x D no memory holds."""
-        seq = FeatureSequence(np.zeros((4, 13), dtype=np.float32), 100, Modality.MFCC13, "u")
+        seq = FeatureSequence(np.zeros((4, 13), dtype=np.float32), Modality.MFCC13, "u")
         path = tmp_path / "long.fseq"
         fileio.write_fseq(path, seq)
         raw = bytearray(path.read_bytes())

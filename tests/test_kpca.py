@@ -133,7 +133,7 @@ def reference_kernel(spec, x, y):
         return x @ y.T
     if spec.kind == "poly":
         return (x @ y.T + spec.coef0) ** spec.degree
-    gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
+    gamma = spec.gamma or 1.0 / x.shape[1]
     sq = np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ y.T) + np.sum(y * y, axis=1)[None, :]
     return np.exp(-gamma * np.maximum(sq, 0.0))
 

@@ -490,7 +490,7 @@ class TestBatching:
 
         monkeypatch.setattr(nn, "forward_batch", spy)
         params = nn.init_classifier(13, 2, make_rng(0), tcn_filters=2, gru_hidden=2)
-        seq = FeatureSequence(np.zeros((2, 13), dtype=np.float32), 100, Modality.MFCC13, "u")
+        seq = FeatureSequence(np.zeros((2, 13), dtype=np.float32), Modality.MFCC13, "u")
         for n, batch_size, expected in [(101, 100, [100, 1]), (100, 100, [100]), (7, 3, [3, 3, 1])]:
             sizes.clear()
             assert pipeline.predict(params, [(seq, 0)] * n, batch_size).shape == (n,)
@@ -557,9 +557,9 @@ class TestSplitIsolation:
     def test_duplicate_utterance_across_partitions_rejected(self):
         frames = np.zeros((5, 13), dtype=np.float32)
         items = [
-            (FeatureSequence(frames, 100, Modality.MFCC13, "dup"), 0),
-            (FeatureSequence(frames, 100, Modality.MFCC13, "dup"), 1),
-            (FeatureSequence(frames, 100, Modality.MFCC13, "ok"), 1),
+            (FeatureSequence(frames, Modality.MFCC13, "dup"), 0),
+            (FeatureSequence(frames, Modality.MFCC13, "dup"), 1),
+            (FeatureSequence(frames, Modality.MFCC13, "ok"), 1),
         ]
         from neurospeaker.core import LabeledDataset
 
