@@ -241,7 +241,7 @@ def cmd_kpca(args) -> int:
     rows = fileio.read_features_index(args.features / fileio.FEATURES_INDEX)
     out = _ensure_dir(args.out or args.features)
     streams, speakers = _load_feature_streams(args.features, rows, want_eeg30=False)
-    partition = pipeline.split_utterances(streams, speakers, config.seed)
+    partition = pipeline.split_utterances(speakers, config.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
     model = pipeline.reduce_eeg(streams, train_ids, config.kpca_config(), config.seed)
     _ensure_dir(out / "eeg30")

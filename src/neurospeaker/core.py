@@ -4,9 +4,9 @@ package's one worker map.
 All stochastic code in the package draws from generators produced here, so a
 single root seed reproduces every stage bit for bit. ``_ordered_map`` spreads
 independent items (utterances, row bands of the KPCA Gram matrix, the
-experiment's KPCA fit and modality trainings) over the usable CPUs when
-OpenBLAS is pinned to one thread; results come back in item order, so they
-are the bytes of a serial loop.
+experiment's KPCA fit, its val/test frontend and its modality trainings)
+over the usable CPUs when OpenBLAS is pinned to one thread; results come
+back in item order, so they are the bytes of a serial loop.
 """
 from __future__ import annotations
 
@@ -127,20 +127,28 @@ def largest_remainder_counts(total: int, ratios: Sequence[float]) -> list[int]:
 def split_dataset(
     items: list[tuple["FeatureSequence", int]], rng: np.random.Generator
 ) -> LabeledDataset:
-    """Shuffle and partition utterances into train/val/test.
+    """Shuffle and partition utterances into train/val/test with
+    ``split_labels`` on their speaker labels."""
+    labels = [label for _, label in items]
+    tags = split_labels(labels, rng)
+    return LabeledDataset(items=list(items), n_speakers=max(labels) + 1, partition=tags)
+
+
+def split_labels(labels: Sequence[int], rng: np.random.Generator) -> tuple[str, ...]:
+    """The partition tag of each item, given its speaker label.
 
     Global partition sizes follow largest-remainder rounding of
     ``DEFAULT_SPLIT_RATIOS``; assignment is stratified per speaker
     (proportional quotas, and every speaker keeps at least one training
-    item). The shuffle is driven solely by ``rng``.
+    item). The shuffle is driven solely by ``rng``, so the tags depend on
+    nothing but the labels and the generator.
     """
     ratios = DEFAULT_SPLIT_RATIOS
-    labels = [label for _, label in items]
     if not labels:
         raise InputError("cannot split an empty item list")
     n_speakers = max(labels) + 1
-    if len(items) < n_speakers:
-        raise InputError(f"{len(items)} items cannot cover {n_speakers} speakers")
+    if len(labels) < n_speakers:
+        raise InputError(f"{len(labels)} items cannot cover {n_speakers} speakers")
     per_speaker: dict[int, list[int]] = {s: [] for s in range(n_speakers)}
     for idx, label in enumerate(labels):
         if label < 0:
@@ -150,8 +158,8 @@ def split_dataset(
     if empty:
         raise InputError(f"speakers {empty} have no items")
 
-    totals = largest_remainder_counts(len(items), ratios)
-    tags = [""] * len(items)
+    totals = largest_remainder_counts(len(labels), ratios)
+    tags = [""] * len(labels)
     assigned = [0, 0, 0]
     leftovers: list[tuple[int, list[float]]] = []  # (item index, per-partition remainders)
 
@@ -182,7 +190,7 @@ def split_dataset(
         tags[idx] = PARTITIONS[part]
         assigned[part] += 1
 
-    return LabeledDataset(items=list(items), n_speakers=n_speakers, partition=tuple(tags))
+    return tuple(tags)
 
 
 def _map_width() -> int:
@@ -217,7 +225,9 @@ def _ordered_map(fn: Callable, items: list) -> list:
     at width 1). Item 0 runs on the calling thread and item ``k`` on worker
     ``k``, handed out before any worker starts; ``run_experiment`` relies on
     that to keep its KPCA fit, the run's largest allocation, out of a
-    worker's arena, and to start the fit that its other items may wait for.
+    worker's arena, and to start the fit item that its other items may wait
+    for. That item maps again, the fit as item 0 beside the val/test
+    frontend, so the fit stays on the calling thread.
     Each allocating thread gets a malloc arena that keeps the memory it
     frees; a pool beside an idle caller raised the frontend benchmark's peak
     RSS by 5 %, and this map by 0.3 %.

@@ -73,8 +73,11 @@ def read_fseq(path: Path | str, utterance_id: str = "") -> FeatureSequence:
             raise FormatError(f"{path}: frame rate {rate_hz} Hz, expected {FEATURE_RATE_HZ} Hz")
         size = 4 * t * d
         # Checked before reading: a corrupt T x D can claim more than memory holds.
-        if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > available:
             raise FormatError(f"{path}: truncated payload ({t} x {d} frames claimed)")
+        if size < available:
+            raise FormatError(f"{path}: {available - size} bytes after the {t} x {d} payload")
         payload = fh.read(size)
         frames = np.frombuffer(payload, dtype="<f4").reshape(t, d)
     try:

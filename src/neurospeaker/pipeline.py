@@ -10,17 +10,20 @@ features and the KPCA projection run per utterance; when OpenBLAS is pinned
 to one thread, the utterances are spread over the usable CPUs
 (``core._ordered_map``), and since each draws from its own generator and
 results are gathered in corpus order, the bytes are those of one utterance
-after another. One seeded split (``assemble_dataset``) serves the KPCA fit
-and every modality.
+after another. One seeded split (``split_labels`` on the speakers of the
+sorted utterance ids) serves the KPCA fit and every modality; it needs no
+feature, so it is drawn before the frontend runs.
 
-``run_experiment`` trains one model per modality (assemble, ``train``,
-``evaluate``: one job each) in one ``_ordered_map`` call whose first item
-is the KPCA fit. With BLAS pinned, the fit, whose LAPACK eigensolve
-releases the GIL, stays on the calling thread while workers take the jobs;
-a job that reads EEG30 waits for the fit. Each job draws its own
-``train.*`` generators, and results are gathered in the order of
-``modalities``, so the bytes are those of the serial loop, which runs
-unchanged when BLAS is not pinned.
+``run_experiment`` cleans and featurizes the training utterances, then
+trains one model per modality (assemble, ``train``, ``evaluate``: one job
+each) in one ``_ordered_map`` call whose first item is the KPCA fit. With
+BLAS pinned, that item stays on the calling thread and runs the fit, whose
+LAPACK eigensolve releases the GIL, beside the cleaning and featurizing of
+the val/test utterances, then projects every stream; workers take the
+jobs. A job that reads EEG30 waits for the fit item, any other job for the
+val/test streams. Each job draws its own ``train.*`` generators, and
+results are gathered in the order of ``modalities``, so the bytes are
+those of the serial loop, which runs unchanged when BLAS is not pinned.
 """
 from __future__ import annotations
 
@@ -31,7 +34,14 @@ from functools import partial
 import numpy as np
 
 from . import dsp, ica, kpca, nn
-from .core import LabeledDataset, SignalRecord, _ordered_map, derive_rng, split_dataset
+from .core import (
+    LabeledDataset,
+    SignalRecord,
+    _ordered_map,
+    derive_rng,
+    split_dataset,
+    split_labels,
+)
 from .errors import DimensionError, InputError
 from .features import (
     FeatureSequence,
@@ -261,12 +271,25 @@ def reduce_eeg(
     config: KpcaConfig = KpcaConfig(),
     seed: int = 0,
 ) -> kpca.KpcaModel:
-    """Fit KPCA on standardized training EEG155 frames and add EEG30 streams.
+    """Fit KPCA on the training ids' EEG155 frames (``fit_eeg``) and add
+    every utterance's EEG30 stream (``project_eeg``)."""
+    model, stats = fit_eeg(features, train_ids, config, seed)
+    project_eeg(features, model, stats)
+    return model
+
+
+def fit_eeg(
+    features: dict[str, dict[str, FeatureSequence]],
+    train_ids: list[str],
+    config: KpcaConfig = KpcaConfig(),
+    seed: int = 0,
+) -> tuple[kpca.KpcaModel, FeatureStats]:
+    """Fit KPCA on standardized training EEG155 frames: the model and the
+    training statistics ``project_eeg`` standardizes with.
 
     Features are z-scored (training statistics) before the kernel so no
-    single raw feature scale dominates; the same transform is applied to all
-    partitions. Each utterance is normalized and projected as one item of
-    ``_ordered_map``; the streams are added in corpus order.
+    single raw feature scale dominates. Only the streams of ``train_ids``
+    are read.
     """
     train_seqs = [features[i]["eeg155"] for i in train_ids]
     stats = compute_feature_stats(train_seqs)
@@ -277,7 +300,17 @@ def reduce_eeg(
         rng = derive_rng(seed, "kpca.subsample")
         pick = np.sort(rng.choice(pooled.shape[0], size=config.max_fit_frames, replace=False))
         pooled = pooled[pick]
-    model = kpca.fit_kpca(pooled, config.kernel, Modality.EEG30.dim)
+    return kpca.fit_kpca(pooled, config.kernel, Modality.EEG30.dim), stats
+
+
+def project_eeg(
+    features: dict[str, dict[str, FeatureSequence]],
+    model: kpca.KpcaModel,
+    stats: FeatureStats,
+) -> None:
+    """Add every utterance's EEG30 stream: its EEG155 frames standardized
+    with the training ``stats`` and projected, each utterance one item of
+    ``_ordered_map``."""
     reduced = _ordered_map(
         lambda seq: kpca.transform_frames(
             model, normalize_features(stats, seq).frames.astype(np.float64)
@@ -286,7 +319,6 @@ def reduce_eeg(
     )
     for (utt_id, streams), frames in zip(features.items(), reduced):
         streams["eeg30"] = FeatureSequence(frames, Modality.EEG30, utt_id)
-    return model
 
 
 def modality_sequence(streams: dict[str, FeatureSequence], modality: Modality) -> FeatureSequence:
@@ -301,15 +333,12 @@ def reads_eeg30(modality: Modality) -> bool:
     return modality in (Modality.EEG30, Modality.FUSED43)
 
 
-def split_utterances(
-    features: dict[str, dict[str, FeatureSequence]],
-    speakers: dict[str, int],
-    seed: int = 0,
-) -> dict[str, str]:
+def split_utterances(speakers: dict[str, int], seed: int = 0) -> dict[str, str]:
     """The partition tag ("train", "val" or "test") of every utterance id,
-    read off the EEG155 dataset, which exists before the KPCA fit."""
-    dataset = assemble_dataset(features, speakers, Modality.EEG155, seed)
-    return dict(zip(sorted(features), dataset.partition))
+    in sorted id order. It depends on the speaker labels alone, so it
+    exists before any feature does."""
+    ids = sorted(speakers)
+    return dict(zip(ids, split_labels([speakers[i] for i in ids], derive_rng(seed, "split"))))
 
 
 def assemble_dataset(
@@ -321,8 +350,9 @@ def assemble_dataset(
     """The labelled dataset for one modality on the run's one seeded split.
 
     The split sees only the speakers of the sorted utterance ids, so every
-    modality's dataset and the KPCA fit (``split_utterances``) share it, and
-    no stage can train on another stage's test utterances.
+    modality's dataset and the KPCA fit (``split_utterances``, with the
+    same ``split_labels`` call) share it, and no stage can train on another
+    stage's test utterances.
     """
     items = [(modality_sequence(features[i], modality), speakers[i]) for i in sorted(features)]
     return split_dataset(items, rng=derive_rng(seed, "split"))
@@ -469,35 +499,61 @@ def run_experiment(
 
     Mirrors the published comparison: a three-column table of test accuracy
     for MFCC-only, EEG-only, and fused features. The result's dicts follow
-    the order of ``modalities``. The KPCA fit and the modalities' jobs are
-    the items of one ``_ordered_map`` call, in serial order, so the failure
-    raised is that of the serial loop. The fit is item 0, on the calling
-    thread; a job that reads EEG30 waits for it, and after a failed fit
-    finds no EEG30 stream and fails behind the fit's error.
+    the order of ``modalities``. The split needs only the speaker labels,
+    so the training utterances are cleaned and featurized first. The KPCA
+    fit and the modalities' jobs are then the items of one
+    ``_ordered_map`` call, in serial order, so the failure raised is that
+    of the serial loop. The fit item is item 0, on the calling thread: it
+    runs the fit beside the cleaning and featurizing of the val/test
+    utterances (a nested two-item map), then projects every stream. A job
+    that reads EEG30 waits for that item, any other job for the val/test
+    streams; a job whose streams were not made fails behind the error that
+    stopped them. At width 1 the order is: training frontend, fit, val/test
+    frontend, projection, modalities.
     """
     check_dimension_contracts(spec.n_speakers)
     utterances = generate_synthetic(spec)
     speakers = {u.utterance_id: u.speaker for u in utterances}
-    cleaned, _ = preprocess_eeg(utterances, dsp_config, ica_config, config.seed)
-    # Each stage reads only the last one's output; the recordings go before
-    # the KPCA fit and the trainings, which set the run's peak memory.
-    del utterances
-    features = extract_features(cleaned, dsp_config, mfcc_config)
-    del cleaned
-    partition = split_utterances(features, speakers, config.seed)
+    partition = split_utterances(speakers, config.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
+    held_out = [u for u in utterances if partition[u.utterance_id] != "train"]
+    utterances = [u for u in utterances if partition[u.utterance_id] == "train"]
 
-    fitted = threading.Event()
+    def featurize(utts: list[Utterance]) -> dict[str, dict[str, FeatureSequence]]:
+        cleaned, _ = preprocess_eeg(utts, dsp_config, ica_config, config.seed)
+        # Each stage reads only the last one's output, so the recordings go
+        # before the features are extracted; the KPCA fit and the trainings
+        # set the run's peak memory.
+        utts.clear()
+        return extract_features(cleaned, dsp_config, mfcc_config)
+
+    features = featurize(utterances)
+    streamed, fitted = threading.Event(), threading.Event()
+
+    def featurize_held_out() -> None:
+        # The fit reads only the training ids' streams, so one dict update
+        # beside it is safe. A corpus too small for val/test utterances
+        # reaches ``evaluate``, which rejects its empty test partition.
+        if held_out:
+            features.update(featurize(held_out))
+        streamed.set()
 
     def fit() -> kpca.KpcaModel:
         try:
-            return reduce_eeg(features, train_ids, kpca_config, config.seed)
+            (model, stats), _ = _ordered_map(
+                lambda task: task(),
+                [partial(fit_eeg, features, train_ids, kpca_config, config.seed), featurize_held_out],
+            )
+            project_eeg(features, model, stats)
+            return model
         finally:
+            streamed.set()
             fitted.set()
 
     def job(modality: Modality) -> tuple[TrainResult, EvalReport]:
-        if reads_eeg30(modality):
-            fitted.wait()
+        (fitted if reads_eeg30(modality) else streamed).wait()
+        if len(features) < len(speakers):
+            raise InputError("the val/test utterances have no features")
         dataset = assemble_dataset(features, speakers, modality, config.seed)
         result = train(dataset, config)
         return result, evaluate(result.params, dataset, result.stats, result.curves)

@@ -152,6 +152,16 @@ class TestStages:
                      "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"])
         assert code == 2
 
+    def test_train_on_feature_file_with_an_appended_frame_exits_2(self, staged, tmp_path):
+        _, _, _, feats = staged
+        broken = tmp_path / "feats"
+        shutil.copytree(feats, broken)
+        victim = sorted((broken / "mfcc13").glob("*.fseq"))[0]
+        victim.write_bytes(victim.read_bytes() + bytes(4 * 13))
+        code = main(["train", "--features", str(broken), "--out", str(tmp_path / "run"),
+                     "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"])
+        assert code == 2
+
     @pytest.mark.parametrize("kind, offset, new", BAD_HEADER_VALUES.values(), ids=list(BAD_HEADER_VALUES))
     def test_stage_on_bad_header_value_exits_2(self, staged, tmp_path, kind, offset, new):
         """preprocess reads .eeg and .wav files; train reads .fseq files, for

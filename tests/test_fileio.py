@@ -297,6 +297,15 @@ class TestFseq:
         with pytest.raises(FormatError):
             fileio.read_fseq(path)
 
+    @pytest.mark.parametrize("extra", [4 * 13, 5], ids=["whole frame appended", "partial frame appended"])
+    def test_payload_longer_than_the_header_claims_rejected(self, tmp_path, extra):
+        seq = FeatureSequence(np.zeros((4, 13), dtype=np.float32), Modality.MFCC13, "u")
+        path = tmp_path / "c.fseq"
+        fileio.write_fseq(path, seq)
+        path.write_bytes(path.read_bytes() + bytes(extra))
+        with pytest.raises(FormatError, match=f"{extra} bytes after the 4 x 13 payload"):
+            fileio.read_fseq(path)
+
     @pytest.mark.parametrize("t, d", [(5, 13), (0xFFFFFFFF, 0xFFFFFFFF)])
     def test_header_claiming_more_than_the_file_rejected(self, tmp_path, t, d):
         """One frame more than the payload holds, and a T x D no memory holds."""

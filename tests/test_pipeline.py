@@ -27,7 +27,7 @@ def small_corpus():
     cleaned, report_rows = pipeline.preprocess_eeg(utts, seed=SMALL_SPEC.seed)
     features = pipeline.extract_features(cleaned)
     speakers = {u.utterance_id: u.speaker for u in utts}
-    partition = pipeline.split_utterances(features, speakers, SMALL_SPEC.seed)
+    partition = pipeline.split_utterances(speakers, SMALL_SPEC.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
     pipeline.reduce_eeg(
         features, train_ids, pipeline.KpcaConfig(max_fit_frames=600), seed=SMALL_SPEC.seed
@@ -205,7 +205,7 @@ class TestUtteranceMap:
         cleaned, _ = pipeline.preprocess_eeg(corpus, seed=9)
         features = pipeline.extract_features(cleaned)
         speakers = {u.utterance_id: u.speaker for u in corpus}
-        partition = pipeline.split_utterances(features, speakers, seed=9)
+        partition = pipeline.split_utterances(speakers, seed=9)
         return features, [i for i, tag in partition.items() if tag == "train"]
 
     @staticmethod
@@ -366,6 +366,60 @@ class TestExperimentSchedule:
         assert fit_threads == [threading.main_thread()]
         assert len(mfcc_threads) == 1 and mfcc_threads[0] is not threading.main_thread()
 
+    @classmethod
+    def _held_out_ids(cls):
+        """The val/test utterance ids of the run, in corpus order."""
+        speakers = {u.utterance_id: u.speaker for u in generate_synthetic(cls.SPEC)}
+        partition = pipeline.split_utterances(speakers, cls.CONFIG.seed)
+        return [i for i in speakers if partition[i] != "train"]
+
+    def test_held_out_utterances_are_cleaned_during_the_fit(self, monkeypatch):
+        """The fit and the cleaning of the first val/test utterance each wait
+        for the other to start, so the run ends only if the two overlap."""
+        first = self._held_out_ids()[0]
+        both = threading.Barrier(2, timeout=60)
+        fit_threads = []
+        clean_utterance = pipeline._clean_utterance
+
+        def clean(utt, *args):
+            if utt.utterance_id == first:
+                both.wait()
+            return clean_utterance(utt, *args)
+
+        def fit_kpca(original, *args, **kwargs):
+            fit_threads.append(threading.current_thread())
+            both.wait()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_clean_utterance", clean)
+        result = self._run(self.DEFAULT, 2, monkeypatch, fit_kpca=fit_kpca)
+        assert fit_threads == [threading.main_thread()]
+        assert list(result.results) == list(self.DEFAULT)
+
+    def test_failure_cleaning_a_held_out_utterance_raises(self, monkeypatch):
+        """Cleaning the first val/test utterance fails: that error is raised
+        at either width, and no training starts without its streams."""
+        first = self._held_out_ids()[0]
+        clean_utterance = pipeline._clean_utterance
+
+        def clean(utt, *args):
+            if utt.utterance_id == first:
+                raise DegenerateInputError(f"failed: {first}")
+            return clean_utterance(utt, *args)
+
+        monkeypatch.setattr(pipeline, "_clean_utterance", clean)
+        for width in (1, 2):
+            started = []
+
+            def train(original, dataset, config):
+                started.append(self._modality(dataset))
+                return original(dataset, config)
+
+            with pytest.raises(DegenerateInputError) as err:
+                self._run(self.DEFAULT, width, monkeypatch, train=train)
+            assert str(err.value) == f"failed: {first}"
+            assert started == []
+
     def test_all_modalities_train_at_once_at_width_4(self, monkeypatch):
         """The three trainings each wait for the other two to start, so the
         run ends only if EEG30 and FUSED43 start once the fit is done, while
@@ -462,7 +516,7 @@ class TestFeatureStage:
     @pytest.mark.parametrize("modality", list(Modality))
     def test_one_split_serves_kpca_and_every_modality(self, small_corpus, modality):
         _, _, features, speakers, _ = small_corpus
-        partition = pipeline.split_utterances(features, speakers, seed=7)
+        partition = pipeline.split_utterances(speakers, seed=7)
         dataset = pipeline.assemble_dataset(features, speakers, modality, seed=7)
         for tag in ("train", "val", "test"):
             ids = [seq.utterance_id for seq, _ in dataset.subset(tag)]

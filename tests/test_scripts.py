@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import neurospeaker
 
 REPO = Path(__file__).resolve().parents[1]
@@ -28,3 +30,26 @@ def test_noise_sweep_prints_its_table():
         r"(      0\.0 \| +\d+\.\d\d% \| +\d+\.\d\d% \| +\d+\.\d\d%)   \(\d+s\)", row
     )
     assert cells is not None and len(cells.group(1)) == len(header)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and two usable CPUs",
+)
+def test_output_digest_is_the_same_on_one_cpu_and_on_all():
+    """``output_digest.py`` pins BLAS to one thread, so its worker map is as
+    wide as the usable CPUs: one CPU runs every map serially, all of them
+    run the mapped schedule. Both write the same bytes."""
+    one_cpu = min(os.sched_getaffinity(0))
+
+    def digest(preexec_fn=None) -> list[str]:
+        done = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "output_digest.py")],
+            preexec_fn=preexec_fn, capture_output=True, text=True, check=True,
+        )
+        return done.stdout.splitlines()
+
+    serial = digest(lambda: os.sched_setaffinity(0, {one_cpu}))
+    mapped = digest()
+    assert len(serial) == 117
+    assert mapped == serial
