@@ -18,7 +18,8 @@ The program is imported from ``src/`` next to this script. The scenarios:
 
 Outputs are written under a temporary directory. Some files (the cleaned
 manifest) and messages name it, so its path is replaced by ``<work>`` before
-hashing. BLAS runs ``--threads`` threads (default 1).
+hashing. The program sets its BLAS to one thread itself, so the digest is the
+same whatever the BLAS thread variables say and however many CPUs it has.
 """
 from __future__ import annotations
 
@@ -26,13 +27,11 @@ import argparse
 import contextlib
 import hashlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 DETERMINISM = [
     "--seed", "31",
@@ -85,10 +84,7 @@ def _sha(data: bytes, work: bytes) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=1, help="BLAS threads (default 1)")
-    args = parser.parse_args()
-    for var in BLAS_VARS:
-        os.environ[var] = str(args.threads)
+    parser.parse_args()
     sys.path.insert(0, str(SRC))
     from neurospeaker.cli import main as cli_main
 

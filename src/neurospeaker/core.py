@@ -1,15 +1,17 @@
-"""Shared containers, seeded randomness, dataset bookkeeping, and the
-package's one worker map.
+"""Shared containers, seeded randomness, dataset bookkeeping, the BLAS pin
+and the package's one worker map.
 
 All stochastic code in the package draws from generators produced here, so a
-single root seed reproduces every stage bit for bit. ``_ordered_map`` spreads
-independent items (utterances, row bands of the KPCA Gram matrix, the
-experiment's KPCA fit, its val/test frontend and its modality trainings)
-over the usable CPUs when OpenBLAS is pinned to one thread; results come
-back in item order, so they are the bytes of a serial loop.
+single root seed reproduces every stage bit for bit. Importing this module
+sets numpy's OpenBLAS to one thread, whatever the environment says, and
+``_ordered_map`` spreads independent items (utterances, row bands of the
+KPCA Gram matrix, the experiment's fit, val/test frontend and trainings)
+over the usable CPUs; results come back in item order: a serial loop's bytes.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import os
 import threading
@@ -25,9 +27,6 @@ if TYPE_CHECKING:
 
 PARTITIONS = ("train", "val", "test")
 DEFAULT_SPLIT_RATIOS = (0.8, 0.1, 0.1)
-
-# The environment variables OpenBLAS reads its thread count from, in order.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -193,23 +192,31 @@ def split_labels(labels: Sequence[int], rng: np.random.Generator) -> tuple[str, 
     return tuple(tags)
 
 
-def _map_width() -> int:
-    """How many items run at once: every usable CPU when OpenBLAS runs
-    one thread, otherwise 1.
+@functools.cache
+def _pin_blas(extension: str, suffix: str):
+    """Set the scipy-openblas that the extension module at path ``extension``
+    links to one thread, once, and return its thread-count getter; None for
+    another BLAS, such as MKL, which keeps its own thread count."""
+    lib = ctypes.CDLL(extension)  # dlsym on it also searches its dependencies
+    name = "scipy_openblas_{}_num_threads" + suffix
+    setter, getter = getattr(lib, name.format("set"), None), getattr(lib, name.format("get"), None)
+    if setter is None or getter is None:
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter(1)
+    return getter
 
-    OpenBLAS takes its thread count from the first of ``BLAS_THREAD_VARS``
-    that holds a positive integer, and from the CPU count when none does.
-    With more than one BLAS thread, concurrent BLAS callers queue on
-    OpenBLAS's thread server and together run slower than one at a time.
-    """
-    for var in BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return _usable_cpus() if threads == 1 else 1
-    return 1
+
+_NUMPY_BLAS = (np.linalg._umath_linalg.__file__, "64_")  # numpy 1 and 2 both have it
+_pin_blas(*_NUMPY_BLAS)
+
+
+def _map_width() -> int:
+    """Every usable CPU when numpy's OpenBLAS says it runs one thread, else 1
+    (MKL, Accelerate): callers of a multi-threaded BLAS queue on its threads."""
+    threads = _pin_blas(*_NUMPY_BLAS)  # the getter of the pin made at import
+    return _usable_cpus() if threads and threads() == 1 else 1
 
 
 def _usable_cpus() -> int:

@@ -16,8 +16,8 @@ The Gram matrix and each transform block are centred in place, in the order
 ``- column means, - row means, + total mean``, so no n x n copy is made
 beside the kernel matrix itself. The eigensolve runs in place too, and is
 the one step of the fit that runs on one CPU: the centred Gram's lower
-triangle is mirrored onto its upper one, and scipy's own LAPACK ``dsyevd``
-takes the buffer in Fortran order and overwrites it with the eigenvectors.
+triangle is mirrored onto its upper one, and scipy's LAPACK ``dsyevd`` (one
+OpenBLAS thread) overwrites the Fortran-ordered buffer with the eigenvectors.
 The fit therefore holds the one n x n matrix plus LAPACK's 2 n^2 workspace,
 about 3.5 n^2 doubles at its peak against about 5.4 n^2 for
 ``np.linalg.eigh``, which copies its input and allocates its output; the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ordered_map
+from .core import _ordered_map, _pin_blas
 from .errors import DimensionError, InputError, NumericError, ReducedRankError
 
 EIGENVALUE_REL_TOL = 1e-9  # positive-eigenvalue cutoff relative to the largest
@@ -150,6 +150,7 @@ def _dsyevd(a: np.ndarray) -> np.ndarray:
     import ctypes
     from scipy.linalg import cython_lapack
 
+    _pin_blas(cython_lapack.__file__, "")
     api = ctypes.pythonapi
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(

@@ -6,24 +6,17 @@ from the root seed and a stage label. EEG filtering runs on blocks of
 equal-length recordings stacked row-wise, and each block is filtered once
 through the band-pass + notch cascade (each row is filtered on its own, so a
 block gives the same bits as one recording at a time). ICA, rejection,
-features and the KPCA projection run per utterance; when OpenBLAS is pinned
-to one thread, the utterances are spread over the usable CPUs
-(``core._ordered_map``), and since each draws from its own generator and
-results are gathered in corpus order, the bytes are those of one utterance
-after another. One seeded split (``split_labels`` on the speakers of the
+features and the KPCA projection run per utterance, spread over the usable
+CPUs (``core._ordered_map``); each draws from its own generator and results
+are gathered in corpus order, so the bytes are those of one utterance after
+another. One seeded split (``split_labels`` on the speakers of the
 sorted utterance ids) serves the KPCA fit and every modality; it needs no
 feature, so it is drawn before the frontend runs.
 
-``run_experiment`` cleans and featurizes the training utterances, then
-trains one model per modality (assemble, ``train``, ``evaluate``: one job
-each) in one ``_ordered_map`` call whose first item is the KPCA fit. With
-BLAS pinned, that item stays on the calling thread and runs the fit, whose
-LAPACK eigensolve releases the GIL, beside the cleaning and featurizing of
-the val/test utterances, then projects every stream; workers take the
-jobs. A job that reads EEG30 waits for the fit item, any other job for the
-val/test streams. Each job draws its own ``train.*`` generators, and
-results are gathered in the order of ``modalities``, so the bytes are
-those of the serial loop, which runs unchanged when BLAS is not pinned.
+``run_experiment`` runs the KPCA fit, the val/test frontend and one job per
+modality through the same map. Each job draws its own ``train.*``
+generators and results keep the order of ``modalities``, so the bytes are
+those of the serial loop, run on one CPU or on a BLAS that cannot be pinned.
 """
 from __future__ import annotations
 
@@ -511,7 +504,6 @@ def run_experiment(
     stopped them. At width 1 the order is: training frontend, fit, val/test
     frontend, projection, modalities.
     """
-    check_dimension_contracts(spec.n_speakers)
     utterances = generate_synthetic(spec)
     speakers = {u.utterance_id: u.speaker for u in utterances}
     partition = split_utterances(speakers, config.seed)

@@ -300,36 +300,41 @@ def test_fit_peak_memory_is_one_gram_plus_lapack_workspace():
     tracemalloc cannot see LAPACK's buffers, and a child's ru_maxrss starts
     at its launcher's peak, so the probe reads its own resident peak (VmHWM)
     in a fresh interpreter."""
-    growth = _fit_peak_growth("poly", {"OPENBLAS_NUM_THREADS": "1"})
+    growth = _fit_peak_growth("poly")
     assert growth < 4.5, f"peak grew by {growth:.2f} n^2 doubles"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 @pytest.mark.parametrize("kind, blas", [
-    ("rbf", {"OPENBLAS_NUM_THREADS": "1"}),  # kernel step on row bands, every CPU
-    ("poly", {}),  # BLAS unpinned: one serial pass
+    # kernel step on row bands, every CPU, whatever the variable asks for
+    ("rbf", {"OPENBLAS_NUM_THREADS": "2"}),
+    ("poly", {}),  # on one CPU: one serial pass
 ])
 def test_fit_peak_memory_on_each_path(kind, blas):
     """The same bound for the RBF kernel, whose step makes no n x n
-    temporary, and for the serial path of an unpinned BLAS."""
-    growth = _fit_peak_growth(kind, blas)
+    temporary, and for the serial path of a process limited to one CPU."""
+    if kind == "poly" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs sched_setaffinity to limit the probe to one CPU")
+    growth = _fit_peak_growth(kind, blas, one_cpu=kind == "poly")
     assert growth < 4.5, f"peak grew by {growth:.2f} n^2 doubles"
 
 
-def _fit_peak_growth(kind, blas):
+def _fit_peak_growth(kind, blas=None, one_cpu=False):
     """Peak resident growth of one fit at n = 1,500, in n^2 doubles."""
-    return _probe(MEMORY_PROBE, ["1500", kind], blas)
+    return _probe(MEMORY_PROBE, ["1500", kind], blas, one_cpu)
 
 
-def _probe(script, args, blas):
-    """The number ``script`` prints, run in a fresh interpreter whose
-    environment sets only the BLAS variables in ``blas``."""
+def _probe(script, args, blas=None, one_cpu=False):
+    """The number ``script`` prints, run in a fresh interpreter with the BLAS
+    variables in ``blas`` added to its environment (the program sets its
+    BLAS to one thread whatever they say), on one CPU if ``one_cpu``."""
     src = str(Path(kpca.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in core.BLAS_THREAD_VARS}
-    env.update(blas, PYTHONPATH=src)
+    one = min(os.sched_getaffinity(0)) if one_cpu else None
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, check=True,
+        env=dict(os.environ, **(blas or {}), PYTHONPATH=src),
+        preexec_fn=(lambda: os.sched_setaffinity(0, {one})) if one_cpu else None,
+        capture_output=True, text=True, check=True,
     )
     return float(done.stdout)
 
@@ -369,9 +374,10 @@ def test_fit_lets_other_threads_run():
     """A Python thread spinning beside a fit at n = 1,500 keeps at least half
     its idle rate: the eigensolve, most of the fit, runs without the GIL
     (scipy.linalg.eigh's f2py wrapper held it, and left the spinner 1-4 %).
-    The probe runs in a fresh interpreter on one BLAS thread, so the solve
-    takes one CPU and leaves the other to the spinner."""
-    ratio = _probe(GIL_PROBE, ["1500"], {"OPENBLAS_NUM_THREADS": "1"})
+    The probe runs in a fresh interpreter, where the program sets BLAS to
+    one thread, so the solve takes one CPU and leaves the other to the
+    spinner."""
+    ratio = _probe(GIL_PROBE, ["1500"])
     assert ratio >= 0.5, f"the spinner ran at {ratio:.2f} of its idle rate"
 
 

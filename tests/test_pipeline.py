@@ -1,10 +1,13 @@
 import hashlib
+import json
 import os
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,22 +265,58 @@ class TestUtteranceMap:
             with pytest.raises(DimensionError, match=f"projection {digests[2]}"):
                 self._reduce(features, width, monkeypatch, fail)
 
-    @pytest.mark.parametrize("env, width", [
-        ({}, 1),
-        ({"OPENBLAS_NUM_THREADS": "1"}, "cpus"),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, "cpus"),
-        ({"OMP_NUM_THREADS": "1"}, "cpus"),
-    ])
-    def test_width_follows_the_blas_thread_count(self, monkeypatch, env, width):
-        for var in core.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        expected = len(os.sched_getaffinity(0)) if width == "cpus" else width
-        assert core._map_width() == expected
+    BLAS_PROBE = """
+import ctypes, json
+import numpy as np
+from scipy.linalg import cython_lapack
+
+numpy_blas = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_
+scipy_blas = ctypes.CDLL(cython_lapack.__file__).scipy_openblas_get_num_threads
+before = [numpy_blas(), scipy_blas()]
+from neurospeaker import core, kpca
+after_import = [numpy_blas(), scipy_blas(), core._map_width(), core._usable_cpus()]
+kpca.fit_kpca(np.random.default_rng(0).standard_normal((40, 5)), kpca.KernelSpec(), 3)
+print(json.dumps([before, after_import, [numpy_blas(), scipy_blas()]]))
+"""
+
+    def test_import_pins_blas_whatever_the_environment_says(self):
+        """A fresh interpreter whose environment asks for two BLAS threads:
+        importing the package sets numpy's OpenBLAS to one thread, so the map
+        is as wide as the usable CPUs, and one KPCA fit sets scipy's."""
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"), "2"))
+        done = subprocess.run(
+            [sys.executable, "-c", self.BLAS_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        before, (numpy_threads, scipy_threads, width, cpus), after_fit = json.loads(done.stdout)
+        if cpus >= 2:  # OpenBLAS takes no more threads than CPUs
+            assert before == [2, 2]
+        assert numpy_threads == 1
+        assert scipy_threads == before[1]  # scipy's is left alone until the fit
+        assert width == cpus == core._usable_cpus()
+        assert after_fit == [1, 1]
+
+    def test_without_the_thread_setter_the_map_is_serial(self, monkeypatch):
+        """A BLAS that exports no scipy-openblas thread functions, such as
+        MKL: the map runs on the calling thread alone and starts no thread,
+        and the KPCA eigensolve still runs."""
+        looked_up = []
+        for module in (core, kpca):
+            monkeypatch.setattr(module, "_pin_blas", lambda *lib: looked_up.append(lib))
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        assert core._map_width() == 1
+        ran_on = core._ordered_map(lambda i: threading.current_thread(), list(range(4)))
+        assert ran_on == [threading.main_thread()] * 4 and started == []
+
+        a = make_rng(3).standard_normal((6, 6))
+        a = a + a.T
+        eigenvalues = kpca._dsyevd(np.asfortranarray(a))
+        np.testing.assert_allclose(eigenvalues, np.linalg.eigvalsh(a), rtol=1e-12, atol=1e-12)
+        from scipy.linalg import cython_lapack
+
+        assert (cython_lapack.__file__, "") in looked_up
 
 
 class TestExperimentSchedule:

@@ -37,19 +37,23 @@ def test_noise_sweep_prints_its_table():
     reason="needs sched_setaffinity and two usable CPUs",
 )
 def test_output_digest_is_the_same_on_one_cpu_and_on_all():
-    """``output_digest.py`` pins BLAS to one thread, so its worker map is as
-    wide as the usable CPUs: one CPU runs every map serially, all of them
-    run the mapped schedule. Both write the same bytes."""
+    """The program sets its BLAS to one thread, so its worker map is as wide
+    as the usable CPUs: one CPU runs every map serially, all of them run the
+    mapped schedule, and an environment asking for two BLAS threads changes
+    neither. All three write the same bytes."""
     one_cpu = min(os.sched_getaffinity(0))
 
-    def digest(preexec_fn=None) -> list[str]:
+    def digest(preexec_fn=None, **blas) -> list[str]:
         done = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_digest.py")],
-            preexec_fn=preexec_fn, capture_output=True, text=True, check=True,
+            env=dict(os.environ, **blas), preexec_fn=preexec_fn,
+            capture_output=True, text=True, check=True,
         )
         return done.stdout.splitlines()
 
     serial = digest(lambda: os.sched_setaffinity(0, {one_cpu}))
     mapped = digest()
+    two_threads = digest(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
     assert len(serial) == 117
     assert mapped == serial
+    assert two_threads == serial
