@@ -126,7 +126,7 @@ def cmd_synth(args) -> int:
     out = _ensure_dir(args.out)
     _ensure_dir(out / "audio")
     _ensure_dir(out / "eeg")
-    utterances = generate_synthetic(config.synth_spec())
+    utterances = generate_synthetic(config.synth)
     rows = []
     for utt in utterances:
         audio_rel = f"audio/{utt.utterance_id}.wav"
@@ -163,7 +163,7 @@ def cmd_preprocess(args) -> int:
     config = _load_run_config(args)
     utterances, manifest = _load_corpus(args.in_dir)
     cleaned, report_rows = pipeline.preprocess_eeg(
-        utterances, config.dsp_config(), config.ica_config(), config.seed
+        utterances, config.dsp, config.ica, config.seed
     )
     out = _ensure_dir(args.out)
     _ensure_dir(out / "eeg")
@@ -189,7 +189,7 @@ def cmd_preprocess(args) -> int:
 def cmd_features(args) -> int:
     config = _load_run_config(args)
     utterances, manifest = _load_corpus(args.in_dir)
-    features = pipeline.extract_features(utterances, config.dsp_config(), config.mfcc_config())
+    features = pipeline.extract_features(utterances, config.dsp, config.mfcc)
     out = _ensure_dir(args.out)
     _ensure_dir(out / "mfcc13")
     _ensure_dir(out / "eeg155")
@@ -243,7 +243,7 @@ def cmd_kpca(args) -> int:
     streams, speakers = _load_feature_streams(args.features, rows, want_eeg30=False)
     partition = pipeline.split_utterances(speakers, config.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
-    model = pipeline.reduce_eeg(streams, train_ids, config.kpca_config(), config.seed)
+    model = pipeline.reduce_eeg(streams, train_ids, config.kpca, config.seed)
     _ensure_dir(out / "eeg30")
     for row in rows:
         utt_id = row["utterance_id"]
@@ -283,7 +283,7 @@ def cmd_train(args) -> int:
     config = _load_run_config(args)
     modality = Modality[args.modality]
     dataset = _assemble_from_dir(args.features, config, modality)
-    result = pipeline.train(dataset, config.train_config())
+    result = pipeline.train(dataset, config.train)
     _write_trained_model(_ensure_dir(args.out), "", result, args.svg)
     final = result.curves[-1]
     print(
@@ -299,9 +299,6 @@ def cmd_eval(args) -> int:
     if params.input_dim not in TRAINABLE:
         raise DimensionError(f"checkpoint input dim {params.input_dim} matches no modality")
     modality = TRAINABLE[params.input_dim]
-    # read_checkpoint admits both norm.* tensors or neither; train writes both.
-    if "norm.mean" not in extras:
-        raise FormatError(f"{args.checkpoint}: checkpoint has no norm.mean and norm.std")
     dataset = _assemble_from_dir(args.features, config, modality)
     stats = FeatureStats(
         mean=extras["norm.mean"].astype(np.float64),
@@ -330,10 +327,10 @@ def _check_windows_fit(config: RunConfig) -> None:
     """Reject a feature window longer than the recordings ``experiment`` would
     synthesize, before any synthesis or output directory. Staged commands
     read recordings of any length, so ``load_config`` cannot check this."""
-    spec = config.synth_spec()
+    spec = config.synth
     for key, window, rate in (
-        ("features.mfcc_window_ms", config.mfcc_config().frame_length, AUDIO_RATE_HZ),
-        ("dsp.frame_length", config.dsp_config().frame_length, EEG_RATE_HZ),
+        ("features.mfcc_window_ms", config.mfcc.frame_length, AUDIO_RATE_HZ),
+        ("dsp.frame_length", config.dsp.frame_length, EEG_RATE_HZ),
     ):
         n_samples = spec.samples_at(rate)
         if window > n_samples:
@@ -348,12 +345,12 @@ def cmd_experiment(args) -> int:
     _check_windows_fit(config)
     out = _ensure_dir(args.out)
     result = pipeline.run_experiment(
-        config.synth_spec(),
-        config=config.train_config(),
-        dsp_config=config.dsp_config(),
-        ica_config=config.ica_config(),
-        kpca_config=config.kpca_config(),
-        mfcc_config=config.mfcc_config(),
+        config.synth,
+        config=config.train,
+        dsp_config=config.dsp,
+        ica_config=config.ica,
+        kpca_config=config.kpca,
+        mfcc_config=config.mfcc,
     )
     for modality, train_result in result.results.items():
         _write_trained_model(out, f"_{modality.name.lower()}", train_result, args.svg)

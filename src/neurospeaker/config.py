@@ -9,7 +9,7 @@ rejected; command-line ``--set`` overrides file values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -99,11 +99,32 @@ _BY_NAME = {key.name: key for key in REGISTRY}
 _BY_FIELD = {(key.owner, key.field): key for key in REGISTRY}
 
 
-@dataclass
-class RunConfig:
-    """Every tunable, resolved and validated."""
+def _build(cls, values: dict[str, object], **overrides):
+    """Construct ``cls`` from the keys that set its fields. A nested config
+    dataclass is built the same way; fields no key sets keep their defaults."""
+    kwargs = {}
+    for spec in fields(cls):
+        key = _BY_FIELD.get((cls, spec.name))
+        if key is not None:
+            kwargs[spec.name] = values[key.name]
+        elif is_dataclass(spec.default_factory):
+            kwargs[spec.name] = _build(spec.default_factory, values)
+    kwargs.update(overrides)
+    return cls(**kwargs)
 
-    values: dict[str, object] = field(default_factory=dict)
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every tunable, resolved and validated: the flat ``values`` by key, and
+    each stage's config, built from them once by ``load_config``."""
+
+    values: dict[str, object]
+    synth: SynthSpec
+    dsp: DspConfig
+    ica: IcaConfig
+    mfcc: MfccConfig
+    kpca: KpcaConfig
+    train: TrainConfig
 
     def __getitem__(self, name: str):
         return self.values[name]
@@ -111,39 +132,6 @@ class RunConfig:
     @property
     def seed(self) -> int:
         return self.values["seed"]
-
-    def _build(self, cls, **overrides):
-        """Construct ``cls`` from the keys that set its fields. A nested
-        config dataclass is built the same way; fields no key sets keep
-        their defaults."""
-        kwargs = {}
-        for spec in fields(cls):
-            key = _BY_FIELD.get((cls, spec.name))
-            if key is not None:
-                kwargs[spec.name] = self.values[key.name]
-            elif is_dataclass(spec.default_factory):
-                kwargs[spec.name] = self._build(spec.default_factory)
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-    def synth_spec(self) -> SynthSpec:
-        return self._build(SynthSpec)
-
-    def dsp_config(self) -> DspConfig:
-        return self._build(DspConfig)
-
-    def ica_config(self) -> IcaConfig:
-        return self._build(IcaConfig)
-
-    def mfcc_config(self) -> MfccConfig:
-        return self._build(MfccConfig)
-
-    def kpca_config(self) -> KpcaConfig:
-        return self._build(KpcaConfig)
-
-    def train_config(self) -> TrainConfig:
-        # The root seed lives on SynthSpec and seeds training too.
-        return self._build(TrainConfig, seed=self.seed)
 
 
 def parse_assignment(line: str) -> tuple[str, str]:
@@ -156,9 +144,11 @@ def parse_assignment(line: str) -> tuple[str, str]:
 def load_config(
     path: Path | str | None = None, overrides: list[str] | None = None
 ) -> RunConfig:
-    """Merge defaults, an optional config file, and --set overrides.
+    """Merge defaults, an optional config file, and --set overrides, and
+    build each stage config from the result.
 
-    Rejects unknown keys and bad values before any computation starts.
+    Rejects unknown keys, bad values and contradictions before any
+    computation starts.
     """
     values = {key.name: key.default for key in REGISTRY}
 
@@ -186,15 +176,17 @@ def load_config(
     for item in overrides or []:
         name, raw = parse_assignment(item)
         apply(name, raw, "--set")
-    config = RunConfig(values)
-    # Construct every sub-config now so contradictions surface immediately.
-    config.synth_spec()
-    config.dsp_config()
-    config.ica_config()
-    config.mfcc_config()
-    config.kpca_config()
-    config.train_config()
-    return config
+    # Each stage config validates itself as it is built.
+    return RunConfig(
+        values,
+        synth=_build(SynthSpec, values),
+        dsp=_build(DspConfig, values),
+        ica=_build(IcaConfig, values),
+        mfcc=_build(MfccConfig, values),
+        kpca=_build(KpcaConfig, values),
+        # The root seed lives on SynthSpec and seeds training too.
+        train=_build(TrainConfig, values, seed=values["seed"]),
+    )
 
 
 def registry_help() -> str:

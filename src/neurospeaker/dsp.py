@@ -190,19 +190,19 @@ def design_notch(
     return BiquadCascade((section,))
 
 
-def apply_filter_block(cascade: BiquadCascade, block: np.ndarray) -> np.ndarray:
-    """Causal filtering of each row of ``block`` (rows x time), zero initial state.
+def apply_filter(cascade: BiquadCascade, signal: SignalRecord) -> SignalRecord:
+    """Causal filtering of each channel independently, zero initial state;
+    output length equals input length.
 
-    The recursion runs over a time-major (time x rows) copy, filtered in
+    The recursion runs over a time-major (time x channels) copy, filtered in
     place: each step reads and writes one contiguous row of it, and the state
     buffers are reused. Every sample takes the same operations in the same
-    order as the textbook form, so a row's output does not depend on which
-    other rows share the block.
+    order as the textbook form, so a channel's output does not depend on which
+    other channels share the record.
     """
-    x = np.asarray(block, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise InputError("block must be a non-empty 2-D (rows x time) array")
-    y = x.T.copy()  # (time, rows), C-contiguous
+    if signal.n_samples == 0:
+        raise InputError("cannot filter an empty signal")
+    y = signal.samples.T.copy()  # (time, channels), C-contiguous
     n_rows = y.shape[1]
     s1, s2 = np.empty(n_rows), np.empty(n_rows)
     p, q, r = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
@@ -223,14 +223,7 @@ def apply_filter_block(cascade: BiquadCascade, block: np.ndarray) -> np.ndarray:
             q -= r
             s1, p = p, s1
             s2, q = q, s2
-    return np.ascontiguousarray(y.T)
-
-
-def apply_filter(cascade: BiquadCascade, signal: SignalRecord) -> SignalRecord:
-    """Filter every channel independently; output length equals input length."""
-    if signal.n_samples == 0:
-        raise InputError("cannot filter an empty signal")
-    return SignalRecord(signal.sample_rate_hz, apply_filter_block(cascade, signal.samples))
+    return SignalRecord(signal.sample_rate_hz, np.ascontiguousarray(y.T))
 
 
 def frame_signal(signal: SignalRecord, spec: FrameSpec) -> np.ndarray:

@@ -270,10 +270,12 @@ def _read_tensors(fh, path) -> dict[str, np.ndarray]:
 def write_checkpoint(
     path: Path | str,
     params: ClassifierParams,
-    extra_tensors: dict[str, np.ndarray] | None = None,
+    extra_tensors: dict[str, np.ndarray],
 ) -> None:
     """magic 'NSPK', version u16, config block (input_dim u32, n_speakers u32,
-    tcn_width u32), then named float32 tensors to end of file."""
+    tcn_width u32), then named float32 tensors to end of file: the
+    parameters, then ``extra_tensors``, which ``read_checkpoint`` requires to
+    hold the ``norm.*`` statistics."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(
@@ -283,7 +285,7 @@ def write_checkpoint(
         )
         for name, arr in params.named_arrays():
             _write_tensor(fh, name, arr)
-        for name, arr in (extra_tensors or {}).items():
+        for name, arr in extra_tensors.items():
             _write_tensor(fh, name, arr)
 
 
@@ -310,13 +312,11 @@ NORM_EXTRAS = ("norm.mean", "norm.std")
 
 
 def _check_norm_extras(path, tensors, input_dim: int) -> None:
-    """Both or neither of ``norm.mean`` and ``norm.std``; each one finite value
-    per input dimension, and no negative standard deviation."""
-    present = [name for name in NORM_EXTRAS if name in tensors]
-    if not present:
-        return
-    if len(present) == 1:
-        raise FormatError(f"{path}: checkpoint has {present[0]} without its pair")
+    """Both ``norm.mean`` and ``norm.std``, each one finite value per input
+    dimension, and no negative standard deviation."""
+    missing = [name for name in NORM_EXTRAS if name not in tensors]
+    if missing:
+        raise FormatError(f"{path}: checkpoint missing tensors {missing}")
     for name in NORM_EXTRAS:
         array = tensors[name]
         if array.shape != (input_dim,):
@@ -329,7 +329,8 @@ def _check_norm_extras(path, tensors, input_dim: int) -> None:
 
 def read_checkpoint(path: Path | str):
     """Returns (params, extra tensors, header dict). Weights come back float32.
-    Tensors other than ``nn.PARAMETERS``, such as ``norm.*``, are extras."""
+    Tensors other than ``nn.PARAMETERS`` are extras; the ``norm.*``
+    statistics the model was trained with must be among them."""
     with open(path, "rb") as fh:
         input_dim, n_speakers, tcn_width = _read_header(fh, path, CHECKPOINT_MAGIC, "<HIII")
         tensors = _read_tensors(fh, path)

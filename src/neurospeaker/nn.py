@@ -310,14 +310,12 @@ def gru_backward_batch(d_last, cache, params: GruLayerParams):
 
 
 def dense_softmax(state: np.ndarray, params: DenseParams) -> np.ndarray:
-    """Linear layer then softmax with max subtraction; rows sum to 1."""
-    state = np.asarray(state)
-    squeeze = state.ndim == 1
-    logits = np.atleast_2d(state) @ params.weights.T + params.biases
+    """Linear layer over (B, hidden) states, then softmax with max
+    subtraction; rows sum to 1."""
+    logits = state @ params.weights.T + params.biases
     logits = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(logits)
-    probs = expd / expd.sum(axis=1, keepdims=True)
-    return probs[0] if squeeze else probs
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 PROB_FLOOR = 1e-12

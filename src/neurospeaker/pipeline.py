@@ -122,6 +122,12 @@ class TrainConfig:
             raise InputError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("tcn_filters", "tcn_width", "gru_hidden"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InputError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
 
     def resolve_epochs(self, n_speakers: int) -> int:
         if self.epochs is not None:
@@ -438,17 +444,17 @@ def train(
 def evaluate(
     params: nn.ClassifierParams,
     dataset: LabeledDataset,
-    stats: FeatureStats | None = None,
+    stats: FeatureStats,
     curves: list[tuple[int, float, float]] | None = None,
     batch_size: int = 100,
 ) -> EvalReport:
-    """Argmax classification of the test partition (ties resolve to the
-    lowest class index); accuracy is correct/total."""
+    """Argmax classification of the test partition, z-scored with the
+    model's training ``stats`` (ties resolve to the lowest class index);
+    accuracy is correct/total."""
     test_items = dataset.subset("test")
     if not test_items:
         raise InputError("dataset has no test items")
-    if stats is not None:
-        test_items = [(normalize_features(stats, s), y) for s, y in test_items]
+    test_items = [(normalize_features(stats, s), y) for s, y in test_items]
     n = dataset.n_speakers
     if params.n_speakers != n:
         raise DimensionError(

@@ -17,7 +17,7 @@ from neurospeaker.core import make_rng
 from neurospeaker.features import Modality
 from neurospeaker.fileio import FEATURE_COLUMNS
 
-from test_fileio import BAD_HEADER_VALUES, BAD_TENSORS, patch_bytes, write_bad_checkpoint
+from test_fileio import BAD_HEADER_VALUES, BAD_TENSORS, norm_extras, patch_bytes, write_bad_checkpoint
 
 TINY = [
     "--set", "synth.utterances_per_speaker=3",
@@ -135,7 +135,7 @@ class TestStages:
         _, _, _, feats = staged
         params = nn.init_classifier(43, 4, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
         path = tmp_path / "cut.nspk"
-        fileio.write_checkpoint(path, params)
+        fileio.write_checkpoint(path, params, norm_extras(43))
         raw = path.read_bytes()
         # cut inside the first tensor's shape, after its rank byte
         cut = raw.index(b"tcn.kernels") + len("tcn.kernels") + 3
@@ -244,7 +244,7 @@ class TestStages:
         _, _, _, feats = staged
         params = nn.init_classifier(43, 4, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
         adam = nn.adam_init(params)
-        extras = {"norm.mean": np.zeros(43), "norm.std": np.ones(43), "adam.step": np.array(6.0)}
+        extras = {**norm_extras(43), "adam.step": np.array(6.0)}
         extras.update((f"adam.m.{name}", arr) for name, arr in adam.m.items())
         extras.update((f"adam.v.{name}", arr) for name, arr in adam.v.items())
         path = tmp_path / "old.nspk"
@@ -255,7 +255,7 @@ class TestStages:
         _, _, _, feats = staged
         bogus = nn.init_classifier(43, 8, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
         path = tmp_path / "bogus.nspk"
-        fileio.write_checkpoint(path, bogus, {"norm.mean": np.zeros(43), "norm.std": np.ones(43)})
+        fileio.write_checkpoint(path, bogus, norm_extras(43))
         assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 3
 
     def test_train_on_short_feature_index_row_exits_2(self, staged, tmp_path):
@@ -357,6 +357,11 @@ class TestExitCodes:
         ("experiment", "ica.tol=0"),
         ("experiment", "dsp.bandpass_order=3"),
         ("experiment", "dsp.bandpass_order=0"),
+        ("experiment", "nn.tcn_filters=0"),
+        ("experiment", "nn.tcn_width=0"),
+        ("experiment", "nn.gru_hidden=0"),
+        ("experiment", "train.beta1=1"),
+        ("experiment", "train.beta2=1"),
     ])
     def test_out_of_range_config_value_exits_3(self, tmp_path, capsys, command, assignment):
         # At the small size, a missing check fails in seconds rather than

@@ -80,25 +80,25 @@ def test_epochs_auto_parses():
 
 def test_subconfig_construction():
     config = load_config(overrides=["kpca.kernel=rbf", "kpca.gamma=0.5"])
-    kc = config.kpca_config()
-    assert kc.kernel.kind == "rbf"
-    assert kc.kernel.gamma == 0.5
-    tc = config.train_config()
-    assert tc.batch_size == 100
-    spec = config.synth_spec()
-    assert spec.n_speakers == 4
+    assert config.kpca.kernel.kind == "rbf"
+    assert config.kpca.kernel.gamma == 0.5
+    assert config.train.batch_size == 100
+    assert config.synth.n_speakers == 4
     default = load_config()
     assert default["kpca.gamma"] == 0.0  # 0 means 1/dim
-    assert default.kpca_config().kernel.gamma == 0.0
+    assert default.kpca.kernel.gamma == 0.0
 
 
-SUBCONFIGS = ("synth_spec", "dsp_config", "ica_config", "mfcc_config", "kpca_config", "train_config")
+SUBCONFIGS = ("synth", "dsp", "ica", "mfcc", "kpca", "train")
 NON_DEFAULT = {
     "dsp.bandpass_order": "6",  # an odd order cannot be designed
     "kpca.kernel": "rbf",
     "kpca.gamma": "0.5",
     "train.epochs": "7",
     "dsp.frame_length": "120",
+    # Adam's betas lie in [0, 1)
+    "train.beta1": "0.5",
+    "train.beta2": "0.99",
 }
 
 
@@ -124,9 +124,9 @@ def _leaf_fields(config) -> dict[tuple[type, str], object]:
 
 def _built_fields(config) -> dict[tuple[str, type, str], object]:
     return {
-        (builder, *where): value
-        for builder in SUBCONFIGS
-        for where, value in _leaf_fields(getattr(config, builder)()).items()
+        (stage, *where): value
+        for stage in SUBCONFIGS
+        for where, value in _leaf_fields(getattr(config, stage)).items()
     }
 
 
@@ -189,6 +189,7 @@ def test_non_utf8_config_file_rejected(tmp_path):
 
 @pytest.mark.parametrize("assignment", [
     "kpca.max_fit_frames=31", "ica.max_iter=1", "ica.tol=1e-300", "dsp.bandpass_order=2",
+    "nn.tcn_filters=1", "nn.tcn_width=1", "nn.gru_hidden=1", "train.beta1=0.0", "train.beta2=0.0",
 ])
 def test_smallest_runnable_values_load(assignment):
     name, raw = assignment.split("=")

@@ -32,13 +32,19 @@ WRONG_RANK_TENSORS = [
 ]
 
 
+def norm_extras(dim):
+    """The ``norm.*`` statistics every checkpoint carries, for ``dim`` inputs."""
+    return {"norm.mean": np.zeros(dim), "norm.std": np.ones(dim)}
+
+
 def write_bad_checkpoint(path, name, array):
     """A valid 43-dim, 4-speaker checkpoint except that tensor ``name`` is
     ``array``; write_checkpoint itself cannot write a misshapen parameter."""
     params = nn.init_classifier(43, 4, make_rng(0), tcn_filters=4, tcn_width=3, gru_hidden=4)
     with open(path, "wb") as fh:
         fh.write(b"NSPK" + struct.pack("<HIII", 1, 43, 4, 3))
-        for tensor_name, arr in {**dict(params.named_arrays()), name: array}.items():
+        tensors = {**dict(params.named_arrays()), **norm_extras(43), name: array}
+        for tensor_name, arr in tensors.items():
             fileio._write_tensor(fh, tensor_name, arr)
 
 
@@ -93,7 +99,8 @@ def write_sample(path, kind):
     elif kind == "fseq":
         fileio.write_fseq(path, FeatureSequence(rng.standard_normal((4, 13)), Modality.MFCC13, "u"))
     elif kind == "nspk":
-        fileio.write_checkpoint(path, nn.init_classifier(5, 3, rng, tcn_filters=2, tcn_width=2, gru_hidden=3))
+        params = nn.init_classifier(5, 3, rng, tcn_filters=2, tcn_width=2, gru_hidden=3)
+        fileio.write_checkpoint(path, params, norm_extras(5))
     else:
         fileio.write_wav(path, SignalRecord(16000, 0.1 * rng.standard_normal((1, 50))))
 
@@ -436,7 +443,7 @@ class TestCheckpoint:
 
     def test_magic_and_header(self, tmp_path):
         path = tmp_path / "model.nspk"
-        fileio.write_checkpoint(path, self._params())
+        fileio.write_checkpoint(path, self._params(), norm_extras(43))
         raw = path.read_bytes()
         assert raw[:4] == b"NSPK"
         assert int.from_bytes(raw[6:10], "little") == 43
@@ -445,7 +452,7 @@ class TestCheckpoint:
 
     def test_missing_tensor_rejected(self, tmp_path):
         path = tmp_path / "model.nspk"
-        fileio.write_checkpoint(path, self._params())
+        fileio.write_checkpoint(path, self._params(), norm_extras(43))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
@@ -453,8 +460,9 @@ class TestCheckpoint:
 
     def test_truncation_at_every_offset_rejected(self, tmp_path):
         path = tmp_path / "model.nspk"
-        fileio.write_checkpoint(path, self._params())
+        fileio.write_checkpoint(path, self._params(), norm_extras(43))
         raw = path.read_bytes()
+        fileio.read_checkpoint(path)  # the whole file reads
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
             with pytest.raises(FormatError):
@@ -491,16 +499,17 @@ class TestCheckpoint:
             fileio.read_checkpoint(path)
         assert str(path) in str(err.value)
 
-    def test_norm_extras_optional_and_zero_std_allowed(self, tmp_path):
+    def test_norm_extras_required_and_zero_std_allowed(self, tmp_path):
         path = tmp_path / "model.nspk"
-        fileio.write_checkpoint(path, self._params())
-        assert fileio.read_checkpoint(path)[1] == {}
+        fileio.write_checkpoint(path, self._params(), {})
+        with pytest.raises(FormatError, match=r"missing tensors \['norm.mean', 'norm.std'\]"):
+            fileio.read_checkpoint(path)
         fileio.write_checkpoint(path, self._params(), {"norm.mean": np.zeros(43), "norm.std": np.zeros(43)})
         assert sorted(fileio.read_checkpoint(path)[1]) == ["norm.mean", "norm.std"]
 
     def test_undecodable_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "model.nspk"
-        fileio.write_checkpoint(path, self._params())
+        fileio.write_checkpoint(path, self._params(), norm_extras(43))
         raw = bytearray(path.read_bytes())
         raw[raw.index(b"tcn.kernels")] = 0xFF
         path.write_bytes(bytes(raw))
@@ -512,7 +521,7 @@ class TestCheckpoint:
 def small_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("nspk") / "small.nspk"
     params = nn.init_classifier(5, 3, make_rng(1), tcn_filters=2, tcn_width=2, gru_hidden=3)
-    fileio.write_checkpoint(path, params, {"norm.mean": np.zeros(5), "norm.std": np.ones(5)})
+    fileio.write_checkpoint(path, params, norm_extras(5))
     return path
 
 

@@ -241,18 +241,18 @@ class TestFloat32Path:
 class TestDenseSoftmax:
     def test_uniform_for_zero_weights(self):
         params = nn.DenseParams(np.zeros((4, 8)), np.zeros(4))
-        probs = nn.dense_softmax(np.ones(8), params)
+        probs = nn.dense_softmax(np.ones((1, 8)), params)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_dominant_logit(self):
         params = nn.DenseParams(np.zeros((4, 2)), np.array([10.0, 0.0, 0.0, 0.0]))
-        probs = nn.dense_softmax(np.zeros(2), params)
-        assert np.argmax(probs) == 0
-        assert probs[0] > 0.99
+        probs = nn.dense_softmax(np.zeros((1, 2)), params)
+        assert np.argmax(probs[0]) == 0
+        assert probs[0, 0] > 0.99
 
     def test_shift_invariance(self):
         params = nn.DenseParams(make_rng(0).standard_normal((5, 8)), np.zeros(5))
-        state = make_rng(1).standard_normal(8)
+        state = make_rng(1).standard_normal((1, 8))
         base = nn.dense_softmax(state, params)
         params.biases += 7.3
         shifted = nn.dense_softmax(state, params)

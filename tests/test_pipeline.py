@@ -642,8 +642,9 @@ class TestTraining:
         from neurospeaker.core import make_rng
 
         wrong = nn.init_classifier(13, 8, make_rng(0), tcn_filters=4, gru_hidden=4)
+        stats = compute_feature_stats([s for s, _ in dataset.subset("train")])
         with pytest.raises(DimensionError):
-            pipeline.evaluate(wrong, dataset)
+            pipeline.evaluate(wrong, dataset, stats)
 
 
 class TestSplitIsolation:
