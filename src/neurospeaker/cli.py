@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .features import AUDIO_RATE_HZ, FeatureSequence, FeatureStats, Modality
-from .synth import EEG_RATE_HZ, generate_synthetic
+from .synth import EEG_RATE_HZ, Utterance, generate_synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,6 +38,11 @@ EXIT_NUMERIC = 4
 
 # The streams a classifier trains on, keyed by the checkpoint's input width.
 TRAINABLE = {m.dim: m for m in pipeline.MODALITY_COLUMNS}
+
+# The feature-index columns and the modality of the files each one names.
+STREAM_COLUMNS = {
+    "mfcc_path": Modality.MFCC13, "eeg155_path": Modality.EEG155, "eeg30_path": Modality.EEG30
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +138,8 @@ def cmd_synth(args) -> int:
         eeg_rel = f"eeg/{utt.utterance_id}.eeg"
         fileio.write_wav(out / audio_rel, utt.audio)
         fileio.write_eeg(out / eeg_rel, utt.eeg)
-        rows.append((utt.utterance_id, f"spk{utt.speaker}", audio_rel, eeg_rel))
+        rows.append(dict(utterance_id=utt.utterance_id, speaker_label=f"spk{utt.speaker}",
+                         audio_path=audio_rel, eeg_path=eeg_rel))
     fileio.write_manifest(out / "manifest.csv", rows)
     print(f"wrote {len(rows)} utterances to {out}")
     return EXIT_OK
@@ -142,8 +148,6 @@ def cmd_synth(args) -> int:
 def _load_corpus(in_dir: Path):
     manifest = fileio.read_manifest(in_dir / "manifest.csv")
     speakers = fileio.speaker_index(manifest)
-    from .synth import Utterance
-
     utterances = []
     for row in manifest:
         audio = fileio.read_wav(in_dir / row["audio_path"])
@@ -167,10 +171,7 @@ def cmd_preprocess(args) -> int:
     )
     out = _ensure_dir(args.out)
     _ensure_dir(out / "eeg")
-    rows = []
-    by_id = {u.utterance_id: u for u in cleaned}
-    for row in manifest:
-        utt = by_id[row["utterance_id"]]
+    for row, utt in zip(manifest, cleaned):  # both in corpus order
         eeg_rel = f"eeg/{utt.utterance_id}.eeg"
         fileio.write_eeg(out / eeg_rel, utt.eeg)
         audio_abs = (args.in_dir / row["audio_path"]).resolve()
@@ -178,8 +179,8 @@ def cmd_preprocess(args) -> int:
             audio_rel = str(audio_abs.relative_to(out.resolve()))
         except ValueError:
             audio_rel = str(audio_abs)
-        rows.append((row["utterance_id"], row["speaker_label"], audio_rel, eeg_rel))
-    fileio.write_manifest(out / "manifest.csv", rows)
+        row.update(audio_path=audio_rel, eeg_path=eeg_rel)
+    fileio.write_manifest(out / "manifest.csv", manifest)
     fileio.write_artifact_report_csv(out / "artifact_report.csv", report_rows)
     n_rejected = sum(1 for r in report_rows if r[5])
     print(f"cleaned {len(cleaned)} recordings; rejected {n_rejected} components")
@@ -216,20 +217,26 @@ def cmd_features(args) -> int:
 
 
 def _load_feature_streams(features_dir: Path, rows, want_eeg30: bool):
-    """Feature streams and dense speaker ids, both keyed by utterance id."""
+    """Feature streams, by lower-case modality name, and dense speaker ids,
+    both keyed by utterance id. A file whose modality is not its column's in
+    ``STREAM_COLUMNS`` is a format error."""
+    columns = [(c, m) for c, m in STREAM_COLUMNS.items() if want_eeg30 or m is not Modality.EEG30]
     streams: dict[str, dict[str, FeatureSequence]] = {}
     for row in rows:
         utt_id = row["utterance_id"]
-        entry = {
-            "mfcc13": fileio.read_fseq(features_dir / row["mfcc_path"], utt_id),
-            "eeg155": fileio.read_fseq(features_dir / row["eeg155_path"], utt_id),
-        }
-        if want_eeg30:
-            if not row["eeg30_path"]:
+        entry = {}
+        for column, modality in columns:
+            if modality is Modality.EEG30 and not row[column]:
                 raise ConfigError(
                     f"feature index has no eeg30 entry for {utt_id}; run the kpca stage first"
                 )
-            entry["eeg30"] = fileio.read_fseq(features_dir / row["eeg30_path"], utt_id)
+            path = features_dir / row[column]
+            seq = fileio.read_fseq(path, utt_id)
+            if seq.modality is not modality:
+                raise FormatError(
+                    f"{path}: {seq.modality.name} features in {column}, expected {modality.name}"
+                )
+            entry[modality.name.lower()] = seq
         streams[utt_id] = entry
     index = fileio.speaker_index(rows)
     speakers = {row["utterance_id"]: index[row["speaker_label"]] for row in rows}

@@ -99,12 +99,16 @@ def write_eeg(path: Path | str, record: SignalRecord) -> None:
 
 
 def read_eeg(path: Path | str) -> SignalRecord:
+    """A ragged payload, a header value the record rejects or a non-finite
+    sample is a format error."""
     with open(path, "rb") as fh:
         channels, rate = _read_header(fh, path, EEG_MAGIC, "<HHI")
         payload = fh.read()
     if channels == 0 or len(payload) % (4 * channels):
         raise FormatError(f"{path}: payload is not a whole number of {channels}-channel samples")
     samples = np.frombuffer(payload, dtype="<f4").reshape(channels, -1)
+    if not np.isfinite(samples).all():
+        raise FormatError(f"{path}: non-finite samples")
     try:
         return SignalRecord(rate, samples)
     except InputError as exc:  # e.g. rate 0
@@ -152,10 +156,10 @@ def read_wav(path: Path | str) -> SignalRecord:
 MANIFEST_COLUMNS = ("utterance_id", "speaker_label", "audio_path", "eeg_path")
 
 
-def write_manifest(path: Path | str, rows: list[tuple[str, str, str, str]]) -> None:
-    """CSV of (utterance_id, speaker_label, audio_path, eeg_path); paths are
-    relative to the manifest's directory."""
-    _write_csv(path, MANIFEST_COLUMNS, rows)
+def write_manifest(path: Path | str, rows: list[dict[str, str]]) -> None:
+    """CSV of rows keyed by ``MANIFEST_COLUMNS``, as ``read_manifest`` returns
+    them; paths are relative to the manifest's directory."""
+    _write_csv(path, MANIFEST_COLUMNS, ([row[c] for c in MANIFEST_COLUMNS] for row in rows))
 
 
 def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
@@ -289,57 +293,37 @@ def write_checkpoint(
             _write_tensor(fh, name, arr)
 
 
-def _check_parameter_shapes(
-    path, params: ClassifierParams, input_dim: int, n_speakers: int, tcn_width: int
-) -> None:
-    """The header fixes the input width, speaker count and kernel width; the
-    leading axes of the TCN kernels and GRU weights fix the filter count and
-    hidden width. Every parameter tensor must agree with them."""
-    for name, array in params.named_arrays():
-        if array.ndim == 0:
-            raise FormatError(f"{path}: {name} is a scalar")
-    filters, hidden = params.tcn.n_filters, params.gru.hidden
-    if 0 in (input_dim, n_speakers, tcn_width, filters, hidden):
-        raise FormatError(f"{path}: a layer of zero width")
-    expected = parameter_shapes(input_dim, n_speakers, tcn_width, filters, hidden)
-    for name, array in params.named_arrays():
-        if array.shape != expected[name]:
-            raise FormatError(f"{path}: {name} has shape {array.shape}, expected {expected[name]}")
-
-
 # The input normalisation statistics ``train`` stores beside the parameters.
 NORM_EXTRAS = ("norm.mean", "norm.std")
 
 
-def _check_norm_extras(path, tensors, input_dim: int) -> None:
-    """Both ``norm.mean`` and ``norm.std``, each one finite value per input
-    dimension, and no negative standard deviation."""
-    missing = [name for name in NORM_EXTRAS if name not in tensors]
-    if missing:
-        raise FormatError(f"{path}: checkpoint missing tensors {missing}")
-    for name in NORM_EXTRAS:
-        array = tensors[name]
-        if array.shape != (input_dim,):
-            raise FormatError(f"{path}: {name} has shape {array.shape}, expected ({input_dim},)")
-        if not np.all(np.isfinite(array)):
-            raise FormatError(f"{path}: {name} holds non-finite values")
-    if np.any(tensors["norm.std"] < 0):
-        raise FormatError(f"{path}: norm.std holds negative values")
-
-
 def read_checkpoint(path: Path | str):
     """Returns (params, extra tensors, header dict). Weights come back float32.
-    Tensors other than ``nn.PARAMETERS`` are extras; the ``norm.*``
-    statistics the model was trained with must be among them."""
+    Tensors other than ``nn.PARAMETERS`` are extras, ``NORM_EXTRAS`` among
+    them. The header and the leading axes of ``tcn.kernels`` and
+    ``gru.w_update`` (0 for a scalar) give all twelve shapes; each tensor must
+    have its shape and only finite values, no layer may have zero width and
+    ``norm.std`` must not be negative."""
     with open(path, "rb") as fh:
         input_dim, n_speakers, tcn_width = _read_header(fh, path, CHECKPOINT_MAGIC, "<HIII")
         tensors = _read_tensors(fh, path)
-    missing = [name for name in PARAMETERS if name not in tensors]
+    missing = [name for name in (*PARAMETERS, *NORM_EXTRAS) if name not in tensors]
     if missing:
         raise FormatError(f"{path}: checkpoint missing tensors {missing}")
+    filters, hidden = ((tensors[name].shape or (0,))[0] for name in ("tcn.kernels", "gru.w_update"))
+    expected = parameter_shapes(input_dim, n_speakers, tcn_width, filters, hidden)
+    expected.update(dict.fromkeys(NORM_EXTRAS, (input_dim,)))
+    for name, shape in expected.items():
+        array = tensors[name]
+        if array.shape != shape:
+            raise FormatError(f"{path}: {name} has shape {array.shape}, expected {shape}")
+        if not np.isfinite(array).all():
+            raise FormatError(f"{path}: {name} holds non-finite values")
+    if 0 in (input_dim, n_speakers, tcn_width, filters, hidden):
+        raise FormatError(f"{path}: a layer of zero width")
+    if np.any(tensors["norm.std"] < 0):
+        raise FormatError(f"{path}: norm.std holds negative values")
     params = ClassifierParams.from_arrays([tensors.pop(name).copy() for name in PARAMETERS])
-    _check_parameter_shapes(path, params, input_dim, n_speakers, tcn_width)
-    _check_norm_extras(path, tensors, input_dim)
     extras = {k: v.copy() for k, v in tensors.items()}
     header_info = {"input_dim": input_dim, "n_speakers": n_speakers, "tcn_width": tcn_width}
     return params, extras, header_info

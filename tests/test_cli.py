@@ -17,7 +17,14 @@ from neurospeaker.core import make_rng
 from neurospeaker.features import Modality
 from neurospeaker.fileio import FEATURE_COLUMNS
 
-from test_fileio import BAD_HEADER_VALUES, BAD_TENSORS, norm_extras, patch_bytes, write_bad_checkpoint
+from test_fileio import (
+    BAD_HEADER_VALUES,
+    BAD_TENSORS,
+    NON_FINITE_TENSORS,
+    norm_extras,
+    patch_bytes,
+    write_bad_checkpoint,
+)
 
 TINY = [
     "--set", "synth.utterances_per_speaker=3",
@@ -216,6 +223,16 @@ class TestStages:
         write_bad_checkpoint(path, name, array)
         assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
 
+    @pytest.mark.parametrize("name, array", NON_FINITE_TENSORS, ids=[name for name, _ in NON_FINITE_TENSORS])
+    def test_eval_checkpoint_with_non_finite_weight_exits_2(self, staged, tmp_path, capsys, name, array):
+        """Not a report of 0 % accuracy from a model that cannot score."""
+        _, _, _, feats = staged
+        path = tmp_path / "bad.nspk"
+        write_bad_checkpoint(path, name, array)
+        assert main(["eval", "--checkpoint", str(path), "--features", str(feats), "--seed", "21"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and name in err
+
     @pytest.mark.parametrize("bad", ["mean cut to 5", "std -1", "norm.* dropped"])
     def test_eval_checkpoint_with_unfitting_norm_exits_2(self, staged, tmp_path, capsys, bad):
         """norm.* extras that do not fit the checkpoint's input fail as a
@@ -287,6 +304,34 @@ class TestStages:
                 lines.append(",".join([utt, "spk3", paths]))
             manifest.write_text("\n".join(lines) + "\n")
         assert main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY]) == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_preprocess_on_non_finite_eeg_sample_exits_2(self, staged, tmp_path, capsys, value):
+        """Rejected on reading, before filtering and ICA see the sample."""
+        _, corpus, _, _ = staged
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        victim = broken / "eeg" / "utt0002.eeg"
+        patch_bytes(victim, 12 + 4 * 100, struct.pack("<f", value))
+        assert main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY]) == 2
+        assert f"{victim}: non-finite samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, other, command", [
+        ("eeg155_path", "mfcc_path", ["kpca"]),
+        ("mfcc_path", "eeg155_path", ["train", "--modality", "MFCC13", "--set", "train.epochs=1"]),
+    ], ids=["kpca", "train"])
+    def test_stage_on_column_naming_another_modality_exits_2(
+        self, staged, tmp_path, capsys, column, other, command
+    ):
+        _, _, _, feats = staged
+        broken = tmp_path / "feats"
+        shutil.copytree(feats, broken)
+        rows = fileio.read_features_index(broken / fileio.FEATURES_INDEX)
+        rows[1][column] = rows[1][other]
+        fileio.write_features_index(broken / fileio.FEATURES_INDEX, rows)
+        code = main([*command, "--features", str(broken), "--out", str(tmp_path / "out"), "--seed", "21"])
+        assert code == 2
+        assert f"{broken / rows[1][other]}: " in capsys.readouterr().err
 
     def test_preprocess_on_wav_with_bad_chunk_size_exits_2(self, staged, tmp_path, capsys):
         """An odd fmt chunk size: the ``wave`` module raises a bare RuntimeError."""

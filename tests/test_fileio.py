@@ -54,6 +54,14 @@ def _with(array, index, value):
     return array
 
 
+# Parameters of the right shape for ``write_bad_checkpoint`` holding a NaN
+# or an inf.
+NON_FINITE_TENSORS = [
+    ("gru.w_cand", _with(np.zeros((4, 8)), (1, 2), np.nan)),
+    ("dense.biases", _with(np.zeros(4), 3, np.inf)),
+]
+
+
 # norm.* extras that do not fit a 43-dim checkpoint.
 BAD_NORM_EXTRAS = {
     "mean too short": {"norm.mean": np.zeros(5), "norm.std": np.ones(43)},
@@ -168,6 +176,7 @@ def test_corrupt_eeg_rejected_or_valid(samples, data):
     except FormatError:
         return
     assert record.sample_rate_hz > 0 and record.channels > 0
+    assert np.all(np.isfinite(record.samples))
 
 
 @settings(max_examples=500, deadline=None)
@@ -355,6 +364,16 @@ class TestEeg:
         with pytest.raises(FormatError):
             fileio.read_eeg(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, value):
+        path = tmp_path / "x.eeg"
+        fileio.write_eeg(path, SignalRecord(1000, np.zeros((2, 5))))
+        fileio.read_eeg(path)  # the undamaged file reads
+        patch_bytes(path, 12 + 4 * 7, struct.pack("<f", value))  # channel 1, sample 2
+        with pytest.raises(FormatError, match="non-finite") as err:
+            fileio.read_eeg(path)
+        assert str(err.value).startswith(f"{path}: ")
+
 
 class TestWav:
     def test_round_trip(self, tmp_path):
@@ -386,14 +405,15 @@ class TestWav:
 
 class TestManifest:
     def test_round_trip_and_speaker_index(self, tmp_path):
-        rows = [
+        rows = [dict(zip(fileio.MANIFEST_COLUMNS, row)) for row in [
             ("utt0000", "alice", "audio/utt0000.wav", "eeg/utt0000.eeg"),
             ("utt0001", "bob", "audio/utt0001.wav", "eeg/utt0001.eeg"),
             ("utt0002", "alice", "audio/utt0002.wav", "eeg/utt0002.eeg"),
-        ]
+        ]]
         path = tmp_path / "manifest.csv"
         fileio.write_manifest(path, rows)
         loaded = fileio.read_manifest(path)
+        assert loaded == rows
         assert [r["utterance_id"] for r in loaded] == ["utt0000", "utt0001", "utt0002"]
         assert fileio.speaker_index(loaded) == {"alice": 0, "bob": 1}
 
@@ -491,6 +511,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=name):
             fileio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("name, array", NON_FINITE_TENSORS, ids=[name for name, _ in NON_FINITE_TENSORS])
+    def test_non_finite_parameter_rejected(self, tmp_path, name, array):
+        path = tmp_path / "model.nspk"
+        write_bad_checkpoint(path, name, array)
+        with pytest.raises(FormatError, match=f"{name} holds non-finite values") as err:
+            fileio.read_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     @pytest.mark.parametrize("extras", BAD_NORM_EXTRAS.values(), ids=BAD_NORM_EXTRAS.keys())
     def test_norm_extras_not_fitting_the_input_rejected(self, tmp_path, extras):
         path = tmp_path / "model.nspk"
@@ -536,7 +564,8 @@ def test_corrupt_checkpoint_rejected_or_usable(small_checkpoint, data):
         params, _, header = fileio.read_checkpoint(path)
     except FormatError:
         return
-    with np.errstate(all="ignore"):  # a flipped weight may be NaN or inf
+    assert all(np.all(np.isfinite(array)) for _, array in params.named_arrays())
+    with np.errstate(all="ignore"):  # a flipped weight may be large enough to overflow
         probs, _, _ = nn.forward_batch(params, np.zeros((1, 5, header["input_dim"]), np.float32), np.array([5]))
     assert probs.shape == (1, header["n_speakers"])
 
