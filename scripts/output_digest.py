@@ -16,10 +16,10 @@ The program is imported from ``src/`` next to this script. The scenarios:
 - ``rbf``: ``kpca`` with the RBF kernel on the ``staged`` features, written
   to a directory of its own.
 
-Outputs are written under a temporary directory. Some files (the cleaned
-manifest) and messages name it, so its path is replaced by ``<work>`` before
-hashing. The program sets its BLAS to one thread itself, so the digest is the
-same whatever the BLAS thread variables say and however many CPUs it has.
+Outputs are written under a temporary directory. Some messages on standard
+output name it, so its path is replaced by ``<work>`` before hashing. The
+program sets its BLAS to one thread itself, so the digest is the same
+whatever the BLAS thread variables say and however many CPUs it has.
 """
 from __future__ import annotations
 

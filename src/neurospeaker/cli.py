@@ -27,8 +27,8 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .features import AUDIO_RATE_HZ, FeatureSequence, FeatureStats, Modality
-from .synth import EEG_RATE_HZ, Utterance, generate_synthetic
+from .features import AUDIO_RATE_HZ, EEG_RATE_HZ, FeatureSequence, FeatureStats, Modality
+from .synth import Utterance, generate_synthetic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,11 +174,7 @@ def cmd_preprocess(args) -> int:
     for row, utt in zip(manifest, cleaned):  # both in corpus order
         eeg_rel = f"eeg/{utt.utterance_id}.eeg"
         fileio.write_eeg(out / eeg_rel, utt.eeg)
-        audio_abs = (args.in_dir / row["audio_path"]).resolve()
-        try:
-            audio_rel = str(audio_abs.relative_to(out.resolve()))
-        except ValueError:
-            audio_rel = str(audio_abs)
+        audio_rel = os.path.relpath(args.in_dir / row["audio_path"], out)
         row.update(audio_path=audio_rel, eeg_path=eeg_rel)
     fileio.write_manifest(out / "manifest.csv", manifest)
     fileio.write_artifact_report_csv(out / "artifact_report.csv", report_rows)
@@ -333,7 +329,7 @@ def cmd_eval(args) -> int:
 def _check_windows_fit(config: RunConfig) -> None:
     """Reject a feature window longer than the recordings ``experiment`` would
     synthesize, before any synthesis or output directory. Staged commands
-    read recordings of any length, so ``load_config`` cannot check this."""
+    check the recordings they read, which ``load_config`` cannot see."""
     spec = config.synth
     for key, window, rate in (
         ("features.mfcc_window_ms", config.mfcc.frame_length, AUDIO_RATE_HZ),

@@ -25,6 +25,7 @@ EEG_CHANNELS = 31
 EEG_FEATURES_PER_CHANNEL = 5
 FEATURE_RATE_HZ = 100
 AUDIO_RATE_HZ = 16_000  # the one audio rate the MFCC front end reads
+EEG_RATE_HZ = 1_000  # the one EEG rate the filters are designed for
 MFCC_LOG_FLOOR = 1e-10  # mel energies are floored here before the log
 MOVING_WINDOW = 10  # samples per sub-window of the moving-window average
 # Channels whose EEG155 statistics are computed together: at 2,000 samples a

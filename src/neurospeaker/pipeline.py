@@ -32,11 +32,12 @@ from .core import (
     SignalRecord,
     _ordered_map,
     derive_rng,
-    split_dataset,
     split_labels,
 )
 from .errors import DimensionError, InputError
 from .features import (
+    EEG_CHANNELS,
+    EEG_RATE_HZ,
     FeatureSequence,
     FeatureStats,
     MfccConfig,
@@ -56,6 +57,8 @@ FILTER_BLOCK_ROWS = 1024
 
 @dataclass
 class DspConfig:
+    """EEG filters, designed at ``EEG_RATE_HZ`` as the config is made, and the EEG155 window."""
+
     bandpass_order: int = 4
     bandpass_low_hz: float = 0.1
     bandpass_high_hz: float = 70.0
@@ -64,15 +67,14 @@ class DspConfig:
     frame_length: int = 100
 
     def __post_init__(self):
-        if not 0 < self.bandpass_low_hz < self.bandpass_high_hz:
-            raise InputError(
-                f"band-pass cutoffs must satisfy 0 < low < high, got "
-                f"{self.bandpass_low_hz}..{self.bandpass_high_hz}"
-            )
-        if self.notch_hz <= 0 or self.notch_q <= 0:
-            raise InputError("notch frequency and quality must be positive")
-        if self.bandpass_order < 2 or self.bandpass_order % 2:
-            raise InputError(f"band-pass order must be even and >= 2, got {self.bandpass_order}")
+        self.cascade()
+
+    def cascade(self) -> dsp.BiquadCascade:
+        """The band-pass sections followed by the notch section."""
+        low, high = self.bandpass_low_hz, self.bandpass_high_hz
+        bandpass = dsp.design_bandpass(self.bandpass_order, low, high, EEG_RATE_HZ)
+        notch = dsp.design_notch(self.notch_hz, self.notch_q, EEG_RATE_HZ)
+        return dsp.BiquadCascade(bandpass.sections + notch.sections)
 
 
 @dataclass
@@ -174,24 +176,12 @@ def preprocess_eeg(
     is filtered on its own, so the result is the same as one recording at a
     time.
     Returns cleaned utterances plus artifact-report rows for the audit log,
-    both in corpus order.
-    Every recording must share the first one's sample rate, which the filters
-    are designed for.
+    both in corpus order. Every recording must pass ``_check_eeg``.
     """
     if not utterances:
         raise InputError("no utterances to preprocess")
-    rate = utterances[0].eeg.sample_rate_hz
-    for utt in utterances:
-        if utt.eeg.sample_rate_hz != rate:
-            raise InputError(
-                f"utterance {utt.utterance_id!r} has {utt.eeg.sample_rate_hz:g} Hz EEG, "
-                f"not the {rate:g} Hz of {utterances[0].utterance_id!r}"
-            )
-    bandpass = dsp.design_bandpass(
-        config.bandpass_order, config.bandpass_low_hz, config.bandpass_high_hz, rate
-    )
-    notch = dsp.design_notch(config.notch_hz, config.notch_q, rate)
-    cascade = dsp.BiquadCascade(bandpass.sections + notch.sections)
+    _check_eeg(utterances, config.frame_length)
+    cascade = config.cascade()
 
     cleaned: list[Utterance | None] = [None] * len(utterances)
     report_rows: list[list[tuple]] = [[] for _ in utterances]
@@ -199,9 +189,9 @@ def preprocess_eeg(
         # The stacked input is dropped as soon as the filter has read it.
         stacked = dsp.apply_filter(
             cascade,
-            SignalRecord(rate, np.concatenate([utterances[i].eeg.samples for i in block])),
+            SignalRecord(EEG_RATE_HZ, np.concatenate([utterances[i].eeg.samples for i in block])),
         ).samples
-        filtered = np.split(stacked, np.cumsum([utterances[i].eeg.channels for i in block])[:-1])
+        filtered = np.split(stacked, len(block))
         results = _ordered_map(
             lambda job: _clean_utterance(utterances[job[0]], job[1], ica_config, seed),
             list(zip(block, filtered)),
@@ -212,21 +202,36 @@ def preprocess_eeg(
     return cleaned, [r for rows in report_rows for r in rows]
 
 
+def _check_eeg(utterances: list[Utterance], frame_length: int) -> None:
+    """Reject, naming the utterance, a recording the chain cannot finish: not
+    ``EEG_CHANNELS`` channels at ``EEG_RATE_HZ``, or shorter than ``frame_length``."""
+    for utt in utterances:
+        eeg, name = utt.eeg, f"utterance {utt.utterance_id!r}"
+        if eeg.channels != EEG_CHANNELS:
+            raise DimensionError(f"{name} has {eeg.channels} EEG channels, not {EEG_CHANNELS}")
+        if eeg.sample_rate_hz != EEG_RATE_HZ:
+            raise InputError(f"{name} has {eeg.sample_rate_hz:g} Hz EEG, not {EEG_RATE_HZ} Hz")
+        if eeg.n_samples < frame_length:
+            raise InputError(
+                f"{name} has {eeg.n_samples} EEG samples, fewer than one "
+                f"{frame_length}-sample window"
+            )
+
+
 def _clean_utterance(
     utt: Utterance, filtered: np.ndarray, ica_config: IcaConfig, seed: int
 ) -> tuple[Utterance, list[tuple]]:
     """ICA artifact removal of one filtered (channels x samples) recording:
     the cleaned utterance and its artifact-report rows."""
-    rate = utt.eeg.sample_rate_hz
     # A fresh array, as the filter gives a recording filtered alone.
-    record = SignalRecord(rate, filtered.copy())
+    record = SignalRecord(EEG_RATE_HZ, filtered.copy())
     rng = derive_rng(seed, f"ica.{utt.utterance_id}")
     model = ica.fit_ica(record, max_iter=ica_config.max_iter, tol=ica_config.tol, rng=rng)
     comps = ica.sources(model, record)
     report = ica.score_and_reject(comps, ica_config.thresholds)
     clean = ica.reconstruct_clean(model, comps, report)
     rows = [(utt.utterance_id, *r) for r in report.rows()]
-    return replace(utt, eeg=SignalRecord(rate, clean)), rows
+    return replace(utt, eeg=SignalRecord(EEG_RATE_HZ, clean)), rows
 
 
 def _filter_blocks(utterances: list[Utterance]) -> list[list[int]]:
@@ -251,7 +256,9 @@ def extract_features(
     dsp_config: DspConfig = DspConfig(),
     mfcc_config: MfccConfig = MfccConfig(),
 ) -> dict[str, dict[str, FeatureSequence]]:
-    """Per-utterance MFCC13 and EEG155 sequences keyed by utterance id."""
+    """Per-utterance MFCC13 and EEG155 sequences keyed by utterance id. Every
+    recording must pass ``_check_eeg``."""
+    _check_eeg(utterances, dsp_config.frame_length)
     streams = _ordered_map(
         lambda utt: {
             "mfcc13": extract_mfcc(utt.audio, mfcc_config, utterance_id=utt.utterance_id),
@@ -346,15 +353,13 @@ def assemble_dataset(
     modality: Modality,
     seed: int = 0,
 ) -> LabeledDataset:
-    """The labelled dataset for one modality on the run's one seeded split.
-
-    The split sees only the speakers of the sorted utterance ids, so every
-    modality's dataset and the KPCA fit (``split_utterances``, with the
-    same ``split_labels`` call) share it, and no stage can train on another
-    stage's test utterances.
-    """
-    items = [(modality_sequence(features[i], modality), speakers[i]) for i in sorted(features)]
-    return split_dataset(items, rng=derive_rng(seed, "split"))
+    """The labelled dataset for one modality on ``split_utterances``, the
+    run's one seeded split, which the KPCA fit and every modality share, so
+    no stage trains on another's test utterances. ``features`` holds every
+    id of ``speakers``."""
+    partition = split_utterances(speakers, seed)
+    items = [(modality_sequence(features[i], modality), speakers[i]) for i in partition]
+    return LabeledDataset(items, max(speakers.values()) + 1, tuple(partition.values()))
 
 
 def predict(

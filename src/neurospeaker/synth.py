@@ -18,9 +18,7 @@ import numpy as np
 
 from .core import SignalRecord, derive_rng
 from .errors import InputError
-from .features import AUDIO_RATE_HZ, EEG_CHANNELS
-
-EEG_RATE_HZ = 1_000
+from .features import AUDIO_RATE_HZ, EEG_CHANNELS, EEG_RATE_HZ
 
 BASE_FORMANTS_HZ = (500.0, 1500.0, 2500.0)
 FORMANT_BANDWIDTHS_HZ = (80.0, 120.0, 160.0)

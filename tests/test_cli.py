@@ -13,7 +13,7 @@ import pytest
 import neurospeaker
 from neurospeaker import fileio, nn
 from neurospeaker.cli import main
-from neurospeaker.core import make_rng
+from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.features import Modality
 from neurospeaker.fileio import FEATURE_COLUMNS
 
@@ -198,6 +198,45 @@ class TestStages:
         code = main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY])
         assert code == 3
         assert "'utt0005' has 500 Hz EEG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, victims, message", [
+        (lambda x: SignalRecord(500, x[:, ::2]), slice(None), "has 500 Hz EEG, not 1000 Hz"),
+        (lambda x: SignalRecord(1000, x[:30]), slice(5, 6), "has 30 EEG channels, not 31"),
+        (lambda x: SignalRecord(1000, x[:, :50]), slice(5, 6),
+         "has 50 EEG samples, fewer than one 100-sample window"),
+    ], ids=["500Hz", "30ch", "50samples"])
+    def test_stage_on_eeg_it_cannot_finish_exits_3(
+        self, staged, tmp_path, capsys, damage, victims, message
+    ):
+        """Rejected by the stage that reads the recording, naming it, rather
+        than passing ``preprocess`` and failing a later stage, or giving
+        features of another window length."""
+        _, corpus, _, _ = staged
+        broken = tmp_path / "corpus"
+        shutil.copytree(corpus, broken)
+        paths = sorted((broken / "eeg").glob("*.eeg"))[victims]
+        for path in paths:
+            fileio.write_eeg(path, damage(fileio.read_eeg(path).samples))
+        for stage in ("preprocess", "features"):
+            out = tmp_path / stage
+            assert main([stage, "--in", str(broken), "--out", str(out), "--seed", "21", *TINY]) == 3
+            assert f"utterance '{paths[0].stem}' {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_features_on_a_moved_corpus_and_cleaned_pair_exits_0(self, staged, tmp_path):
+        """The cleaned manifest names the corpus's audio by a relative path,
+        so a corpus and its cleaned directory move together."""
+        _, corpus, _, _ = staged
+        before, after = tmp_path / "before", tmp_path / "after"
+        shutil.copytree(corpus, before / "corpus")
+        assert main(["preprocess", "--in", str(before / "corpus"), "--out", str(before / "clean"),
+                     "--seed", "21", *TINY]) == 0
+        before.rename(after)
+        rows = fileio.read_manifest(after / "clean" / "manifest.csv")
+        assert rows[0]["audio_path"] == os.path.join("..", "corpus", "audio", "utt0000.wav")
+        assert not any(os.path.isabs(row["audio_path"]) for row in rows)
+        assert main(["features", "--in", str(after / "clean"), "--out", str(after / "feats"),
+                     "--seed", "21", *TINY]) == 0
 
     @pytest.mark.parametrize("modality", ["bogus", "eeg155"])
     def test_train_with_untrainable_modality_exits_1(self, staged, tmp_path, capsys, modality):
@@ -402,6 +441,9 @@ class TestExitCodes:
         ("experiment", "ica.tol=0"),
         ("experiment", "dsp.bandpass_order=3"),
         ("experiment", "dsp.bandpass_order=0"),
+        ("experiment", "dsp.bandpass_high_hz=600"),
+        ("experiment", "dsp.notch_hz=600"),
+        ("synth", "dsp.notch_hz=600"),
         ("experiment", "nn.tcn_filters=0"),
         ("experiment", "nn.tcn_width=0"),
         ("experiment", "nn.gru_hidden=0"),
