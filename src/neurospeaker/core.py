@@ -1,5 +1,5 @@
-"""Shared containers, seeded randomness, dataset bookkeeping, the BLAS pin
-and the package's one worker map.
+"""Shared containers, seeded randomness, dataset bookkeeping, the BLAS pin,
+the package's one worker map and its loader of compiled scipy modules.
 
 All stochastic code in the package draws from generators produced here, so a
 single root seed reproduces every stage bit for bit. Importing this module
@@ -7,13 +7,18 @@ sets numpy's OpenBLAS to one thread, whatever the environment says, and
 ``_ordered_map`` spreads independent items (utterances, row bands of the
 KPCA Gram matrix, the experiment's fit, val/test frontend and trainings)
 over the usable CPUs; results come back in item order: a serial loop's bytes.
+The program runs two compiled scipy routines, and ``_scipy_extension`` loads
+the module holding each from its own file, without the package above it.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -206,6 +211,40 @@ def _pin_blas(extension: str, suffix: str):
     getter.argtypes, getter.restype = [], ctypes.c_int
     setter(1)
     return getter
+
+
+_EXTENSION_LOCK = threading.Lock()
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module ``name``, such as ``"scipy.signal._sigtools"``.
+
+    An imported module is returned as it is. Otherwise the module is loaded
+    from its own file under scipy's install directory, and registered under
+    ``name``, so the package above it never runs (``scipy.signal`` takes
+    about 1 s and 70 MB to import with the subpackages it imports); a later
+    import of that package reuses the module. A missing file raises
+    ``ImportError``: there is no fallback to the package import.
+    """
+    with _EXTENSION_LOCK:
+        if name in sys.modules:
+            return sys.modules[name]
+        import scipy
+
+        stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no compiled module {name} at {paths[0]}", name=name, path=paths[0])
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        sys.modules[name] = module
+        try:
+            loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+        return module
 
 
 _NUMPY_BLAS = (np.linalg._umath_linalg.__file__, "64_")  # numpy 1 and 2 both have it

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import SignalRecord
 from .dsp import FrameSpec, frame_signal
-from .errors import AlignmentError, DimensionError, InputError
+from .errors import AlignmentError, DimensionError, InputError, NumericError
 
 EEG_CHANNELS = 31
 EEG_FEATURES_PER_CHANNEL = 5
@@ -339,11 +339,18 @@ def compute_feature_stats(sequences: list[FeatureSequence]) -> FeatureStats:
 
 
 def normalize_features(stats: FeatureStats, seq: FeatureSequence) -> FeatureSequence:
-    """Z-score with training statistics; constant dimensions map to zero."""
+    """Z-score with training statistics; constant dimensions map to zero.
+    Finite frames whose z-scores leave float32 range raise ``NumericError``."""
     if seq.modality is not stats.modality:
         raise AlignmentError(
             f"stats are for {stats.modality.name}, sequence is {seq.modality.name}"
         )
     denom = np.maximum(stats.std, FeatureStats.STD_FLOOR)
-    frames = (seq.frames.astype(np.float64) - stats.mean) / denom
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        frames = ((seq.frames.astype(np.float64) - stats.mean) / denom).astype(np.float32)
+    if not np.all(np.isfinite(frames)):
+        raise NumericError(
+            f"z-scoring utterance {seq.utterance_id!r}'s {seq.modality.name} frames "
+            f"leaves float32 range"
+        )
     return FeatureSequence(frames, seq.modality, seq.utterance_id)

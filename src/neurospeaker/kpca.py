@@ -22,9 +22,11 @@ The fit therefore holds the one n x n matrix plus LAPACK's 2 n^2 workspace,
 about 3.5 n^2 doubles at its peak against about 5.4 n^2 for
 ``np.linalg.eigh``, which copies its input and allocates its output; the
 bits are those ``np.linalg.eigh`` gives on the same matrix. ``dsyevd`` is
-reached through ``scipy.linalg.cython_lapack`` and called with ``ctypes``,
-which releases the GIL for the call (``scipy.linalg.eigh``'s f2py wrapper
-holds it), so other Python threads run beside the solve; a pointer whose
+reached through ``scipy.linalg.cython_lapack``, which the first fit loads
+from its own file (``core._scipy_extension``) without importing
+``scipy.linalg``, and called with ``ctypes``, which releases the GIL for
+the call (``scipy.linalg.eigh``'s f2py wrapper holds it), so other Python
+threads run beside the solve; a pointer whose
 exported prototype is not ``dsyevd``'s is refused, and a nonzero LAPACK
 ``info`` raises ``NumericError``.
 Eigenvalues are reported in variance units (Gram eigenvalues divided by n),
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ordered_map, _pin_blas
+from .core import _ordered_map, _pin_blas, _scipy_extension
 from .errors import DimensionError, InputError, NumericError, ReducedRankError
 
 EIGENVALUE_REL_TOL = 1e-9  # positive-eigenvalue cutoff relative to the largest
@@ -146,10 +148,9 @@ def _dsyevd(a: np.ndarray) -> np.ndarray:
     its lower triangle, leaves the eigenvectors in its columns, and returns
     the eigenvalues in ascending order. The workspace is the size LAPACK's
     own query gives, as ``scipy.linalg.eigh`` asks for."""
-    # scipy.linalg takes about 0.25 s to import; only the KPCA fit needs it.
     import ctypes
-    from scipy.linalg import cython_lapack
 
+    cython_lapack = _scipy_extension("scipy.linalg.cython_lapack")
     _pin_blas(cython_lapack.__file__, "")
     api = ctypes.pythonapi
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))

@@ -6,8 +6,14 @@ distance from the shared base grows with ``separability``. At separability 0
 every speaker draws from the same distribution, so no classifier can beat
 chance by construction.
 
-scipy.signal is loaded here only, by ``_resonate`` on the first synthesis,
-so importing the package loads no scipy module.
+The resonators run scipy's compiled direct-form II transposed filter,
+``scipy.signal._sigtools._linear_filter``, the routine ``scipy.signal.lfilter``
+itself calls for a denominator of more than one coefficient, on the same
+arguments. ``_resonate`` loads that one module on the first synthesis
+(``core._scipy_extension``), so neither importing the package nor
+synthesizing runs ``scipy.signal``'s package import. The routine is private
+to scipy: a release that moves it fails with an ``ImportError``, and
+``tests/test_synth.py`` holds it to ``lfilter`` bit for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignalRecord, derive_rng
+from .core import SignalRecord, _scipy_extension, derive_rng
 from .errors import InputError
 from .features import AUDIO_RATE_HZ, EEG_CHANNELS, EEG_RATE_HZ
 
@@ -85,12 +91,11 @@ class SpeakerProfiles:
 
 def _resonate(x: np.ndarray, center_hz: float, bandwidth_hz: float, fs: float) -> np.ndarray:
     """Two-pole resonator at ``center_hz`` over ``x``."""
-    # scipy.signal takes about 1 s to import; only corpus generation needs it.
-    from scipy.signal import lfilter
-
     r = math.exp(-math.pi * bandwidth_hz / fs)
     theta = 2.0 * math.pi * center_hz / fs
-    return lfilter(np.array([1.0 - r]), np.array([1.0, -2.0 * r * math.cos(theta), r * r]), x)
+    b = np.array([1.0 - r])
+    a = np.array([1.0, -2.0 * r * math.cos(theta), r * r])
+    return _scipy_extension("scipy.signal._sigtools")._linear_filter(b, a, x, -1)
 
 
 def _pink_noise(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import shutil
 import struct
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import neurospeaker
-from neurospeaker import fileio, nn
+from neurospeaker import fileio, nn, pipeline
 from neurospeaker.cli import main
 from neurospeaker.core import SignalRecord, make_rng
 from neurospeaker.features import Modality
@@ -372,6 +373,35 @@ class TestStages:
         assert code == 2
         assert f"{broken / rows[1][other]}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, held_out", [("train", "val"), ("eval", "test")])
+    def test_stage_on_features_that_overflow_z_scoring_exits_4(
+        self, staged, tmp_path, capsys, command, held_out
+    ):
+        """3e38 is a finite float32, but its z-score under the training
+        statistics is not: a numeric error, found where the held-out
+        utterance is normalized."""
+        _, _, _, feats = staged
+        rows = fileio.read_features_index(feats / fileio.FEATURES_INDEX)
+        labels = fileio.speaker_index(rows)
+        partition = pipeline.split_utterances(
+            {row["utterance_id"]: labels[row["speaker_label"]] for row in rows}, 21
+        )
+        victim = next(row for row in rows if partition[row["utterance_id"]] == held_out)
+        broken = tmp_path / "feats"
+        shutil.copytree(feats, broken)
+        patch_bytes(broken / victim["mfcc_path"], 17, struct.pack("<13f", *[3e38] * 13))  # frame 0
+        train = ["train", "--features", str(feats), "--out", str(tmp_path / "run"),
+                 "--modality", "MFCC13", "--seed", "21", "--set", "train.epochs=1"]
+        if command == "train":
+            train[2] = str(broken)
+            assert main(train) == 4
+        else:
+            assert main(train) == 0
+            assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.nspk"),
+                         "--features", str(broken), "--seed", "21"]) == 4
+        err = capsys.readouterr().err
+        assert f"numeric error: z-scoring utterance {victim['utterance_id']!r}'s MFCC13 frames" in err
+
     def test_preprocess_on_wav_with_bad_chunk_size_exits_2(self, staged, tmp_path, capsys):
         """An odd fmt chunk size: the ``wave`` module raises a bare RuntimeError."""
         _, corpus, _, _ = staged
@@ -538,19 +568,76 @@ class TestExperimentCommand:
         assert [(c.n_filters, c.preemphasis) for c in seen] == [(40, 0.5)]
 
 
+SCIPY_WORK_PROBE = """
+import hashlib, json, sys
+import scipy
+
+base = set(sys.modules)  # scipy's own package, which the program's loader imports
+if sys.argv[1] == "packages-first":
+    import scipy.linalg, scipy.signal
+import numpy as np
+from neurospeaker import core, kpca, synth
+
+corpus = synth.generate_synthetic(synth.SynthSpec(n_speakers=2, utterances_per_speaker=1, duration_s=0.5, seed=27))
+model = kpca.fit_kpca(core.make_rng(27).standard_normal((200, 155)), kpca.KernelSpec(), 30)
+digest = hashlib.sha256()
+for utt in corpus:
+    digest.update(utt.audio.samples.tobytes())
+    digest.update(utt.eeg.samples.tobytes())
+digest.update(model.eigenvalues.tobytes())
+out = {"added": sorted(m for m in set(sys.modules) - base if m.split(".")[0] == "scipy"), "digest": digest.hexdigest()}
+if sys.argv[1] == "packages-first":
+    out["same_modules"] = [
+        core._scipy_extension("scipy.signal._sigtools") is scipy.signal._sigtools,
+        core._scipy_extension("scipy.linalg.cython_lapack") is scipy.linalg.cython_lapack,
+    ]
+else:  # the packages, imported after the modules were loaded, run on them
+    import scipy.linalg, scipy.signal
+    out["packages_after"] = [
+        scipy.signal.lfilter([1.0], [1.0, -0.5], [1.0, 0.0, 0.0]).tolist(),
+        scipy.linalg.eigh(np.diag([3.0, 1.0, 2.0]), eigvals_only=True).tolist(),
+    ]
+print(json.dumps(out))
+"""
+
+
 class TestImportGraph:
-    def test_importing_the_cli_loads_no_scipy(self):
-        """Only corpus generation needs scipy; every command starts without
-        it, and without concurrent.futures (about 9 ms to import), which the
-        utterance map does without."""
+    """Corpus generation and the KPCA fit each run one compiled scipy routine
+    and load only the module that holds it; every command starts without
+    scipy."""
+
+    def _run(self, args):
         src = str(Path(neurospeaker.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True
+        )
+        return done.stdout.strip()
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        """Without concurrent.futures either (about 9 ms to import), which
+        the utterance map does without."""
         probe = (
             "import sys, neurospeaker.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             " or m.startswith('concurrent.futures')))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "[]"
+        assert self._run([probe]) == "[]"
+
+    def test_synthesis_and_kpca_fit_load_two_compiled_modules_only(self):
+        """Neither scipy.signal nor scipy.linalg is imported: beyond scipy's
+        own package, only the filter's and LAPACK's compiled modules."""
+        done = json.loads(self._run([SCIPY_WORK_PROBE, "modules-only"]))
+        assert done["added"] == ["scipy.linalg.cython_lapack", "scipy.signal._sigtools"]
+        # and the packages, imported afterwards, run on the loaded modules
+        assert done["packages_after"] == [[1.0, 0.5, 0.25], [1.0, 2.0, 3.0]]
+
+    def test_packages_imported_first_give_the_same_bits(self):
+        """After ``import scipy.signal, scipy.linalg`` the loader returns
+        the packages' own modules, and the corpus and eigenvalues keep
+        their bits."""
+        alone = json.loads(self._run([SCIPY_WORK_PROBE, "modules-only"]))
+        first = json.loads(self._run([SCIPY_WORK_PROBE, "packages-first"]))
+        assert {"scipy.signal", "scipy.linalg"} <= set(first["added"])
+        assert first["same_modules"] == [True, True]
+        assert first["digest"] == alone["digest"]

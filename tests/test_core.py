@@ -1,4 +1,7 @@
+import importlib.machinery
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurospeaker.core import (
+    _scipy_extension,
     derive_rng,
     derive_seed,
     largest_remainder_counts,
@@ -108,3 +112,13 @@ def test_rng_streams_reproducible():
     a = derive_rng(7, "stage").standard_normal(8)
     b = derive_rng(7, "stage").standard_normal(8)
     np.testing.assert_array_equal(a, b)
+
+
+def test_missing_scipy_extension_is_an_import_error_naming_its_path():
+    """No fallback: a compiled module that is not where scipy installs it
+    raises, and nothing is registered under its name."""
+    with pytest.raises(ImportError, match=r"_no_such_module\.") as caught:
+        _scipy_extension("scipy.signal._no_such_module")
+    path = Path(caught.value.path)
+    assert path.parent.name == "signal" and path.name.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
+    assert "scipy.signal._no_such_module" not in sys.modules

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from neurospeaker.core import SignalRecord, make_rng
-from neurospeaker.errors import AlignmentError, DimensionError, InputError
+from neurospeaker.errors import AlignmentError, DimensionError, InputError, NumericError
 from neurospeaker.features import (
     MFCC_LOG_FLOOR,
     MOVING_WINDOW,
     FeatureSequence,
+    FeatureStats,
     Modality,
     MfccConfig,
     compute_feature_stats,
@@ -369,6 +371,17 @@ class TestNormalization:
         )
         # a 5-sigma-ish shift survives: test stats were not used
         assert out.mean() > 3.0
+
+    def test_z_score_beyond_float32_range_is_a_numeric_error(self):
+        """A finite frame whose z-score leaves float32 range is reported,
+        naming the utterance and modality, without numpy's cast warning."""
+        frames = np.zeros((3, 13), dtype=np.float32)
+        frames[1] = 3e38
+        stats = FeatureStats(mean=np.zeros(13), std=np.full(13, 0.5), modality=Modality.MFCC13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'utt7'.*MFCC13"):
+                normalize_features(stats, FeatureSequence(frames, Modality.MFCC13, "utt7"))
 
 
 @settings(max_examples=20, deadline=None)

@@ -275,8 +275,9 @@ def test_mirror_lower_copies_the_lower_triangle_up(n):
 MEMORY_PROBE = """
 import sys
 import numpy as np
-import scipy.linalg  # a fixed cost, apart from the n x n one measured here
-from neurospeaker import kpca
+from neurospeaker import core, kpca
+
+core._scipy_extension("scipy.linalg.cython_lapack")  # a fixed cost, apart from the n x n one measured here
 
 def status_bytes(field):
     with open("/proc/self/status") as status:
@@ -344,8 +345,9 @@ import sys
 import threading
 import time
 import numpy as np
-import scipy.linalg  # a fixed cost, apart from the fit measured here
-from neurospeaker import kpca
+from neurospeaker import core, kpca
+
+core._scipy_extension("scipy.linalg.cython_lapack")  # a fixed cost, apart from the fit measured here
 
 spins, stop = [0], threading.Event()
 
@@ -395,8 +397,7 @@ class TestLapackCapsule:
         """Install a Python dsyevd under a given prototype name; returns the
         list of calls it records as (lwork, liwork). The stub answers the
         workspace query with sizes of 1 and then sets ``info``."""
-        from scipy.linalg import cython_lapack
-
+        cython_lapack = core._scipy_extension("scipy.linalg.cython_lapack")
         calls = []
         keep = []
 

@@ -1,9 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from neurospeaker import dsp
+from neurospeaker import dsp, synth
+from neurospeaker.core import make_rng
 from neurospeaker.errors import InputError
-from neurospeaker.synth import NOISE_DB_LIMIT, SynthSpec, generate_synthetic, speaker_profiles
+from neurospeaker.features import AUDIO_RATE_HZ, EEG_RATE_HZ
+from neurospeaker.synth import (
+    BASE_FORMANTS_HZ,
+    EEG_SOURCE_BANDWIDTHS_HZ,
+    EEG_SOURCE_CENTERS_HZ,
+    FORMANT_BANDWIDTHS_HZ,
+    NOISE_DB_LIMIT,
+    SynthSpec,
+    generate_synthetic,
+    speaker_profiles,
+)
 
 
 def spectral_peak_db(x, fs, freq, width=2.0):
@@ -66,6 +80,30 @@ class TestDeterminism:
         a = generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=1, duration_s=0.5, seed=5))
         b = generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=1, duration_s=0.5, seed=6))
         assert not np.array_equal(a[0].audio.samples, b[0].audio.samples)
+
+
+class TestResonator:
+    """``_resonate`` calls the compiled routine behind ``scipy.signal.lfilter``,
+    which is private to scipy; ``lfilter`` itself is the oracle, at every
+    (centre, bandwidth, rate) the corpus uses: each formant at its base and
+    at the extremes of its separability offset, and each EEG source."""
+
+    CASES = [
+        *[
+            (f_hz * (1.0 + offset), bw, AUDIO_RATE_HZ)
+            for f_hz, bw in zip(BASE_FORMANTS_HZ, FORMANT_BANDWIDTHS_HZ)
+            for offset in (-0.3, 0.0, 0.3)
+        ],
+        *[(f_hz, bw, EEG_RATE_HZ) for f_hz, bw in zip(EEG_SOURCE_CENTERS_HZ, EEG_SOURCE_BANDWIDTHS_HZ)],
+    ]
+
+    @pytest.mark.parametrize("center_hz, bandwidth_hz, fs", CASES)
+    def test_bit_equal_to_lfilter(self, center_hz, bandwidth_hz, fs):
+        x = make_rng(26).standard_normal(fs)  # one second
+        r = math.exp(-math.pi * bandwidth_hz / fs)
+        theta = 2.0 * math.pi * center_hz / fs
+        expected = lfilter([1.0 - r], [1.0, -2.0 * r * math.cos(theta), r * r], x)
+        assert np.array_equal(synth._resonate(x, center_hz, bandwidth_hz, fs), expected)
 
 
 class TestSeparabilityKnob:
