@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 of every output file and of standard output for four
+"""Print a SHA-256 of every output file and of standard output for five
 fixed command-line runs, so two checkouts can be compared byte for byte.
 
     python3 scripts/output_digest.py > a.txt      # in checkout A
@@ -14,7 +14,9 @@ The program is imported from ``src/`` next to this script. The scenarios:
   seed 21 on a small corpus;
 - ``speakers8``: an 8-speaker ``experiment`` with ``train.batch_size=5``;
 - ``rbf``: ``kpca`` with the RBF kernel on the ``staged`` features, written
-  to a directory of its own.
+  to a directory of its own;
+- ``single``: ``train`` and ``eval``, as in ``staged``, for ``--modality
+  MFCC13`` and for ``--modality EEG30``.
 
 Outputs are written under a temporary directory. Some messages on standard
 output name it, so its path is replaced by ``<work>`` before hashing. The
@@ -61,6 +63,15 @@ def scenarios(w: Path) -> dict[str, list[list[str]]]:
     """Scenario name -> the command lines it runs, in order."""
     corpus, clean, feats = w / "staged/corpus", w / "staged/clean", w / "staged/feats"
     train_args = [*STAGED, "--set", "train.epochs=6"]
+    single = []
+    for modality in ("MFCC13", "EEG30"):
+        run = w / "single" / modality.lower()
+        single += [
+            ["train", "--features", str(feats), "--out", str(run / "run"),
+             "--modality", modality, *train_args],
+            ["eval", "--checkpoint", str(run / "run/checkpoint.nspk"),
+             "--features", str(feats), "--out", str(run / "eval"), *STAGED],
+        ]
     return {
         "determinism": [["experiment", "--out", str(w / "determinism"), *DETERMINISM]],
         "staged": [
@@ -75,6 +86,7 @@ def scenarios(w: Path) -> dict[str, list[list[str]]]:
         "speakers8": [["experiment", "--out", str(w / "speakers8"), *SPEAKERS8]],
         "rbf": [["kpca", "--features", str(feats), "--out", str(w / "rbf"), *STAGED,
                  "--set", "kpca.kernel=rbf"]],
+        "single": single,
     }
 
 

@@ -39,11 +39,6 @@ EXIT_NUMERIC = 4
 # The streams a classifier trains on, keyed by the checkpoint's input width.
 TRAINABLE = {m.dim: m for m in pipeline.MODALITY_COLUMNS}
 
-# The feature-index columns and the modality of the files each one names.
-STREAM_COLUMNS = {
-    "mfcc_path": Modality.MFCC13, "eeg155_path": Modality.EEG155, "eeg30_path": Modality.EEG30
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; our contract says 1
@@ -188,43 +183,42 @@ def cmd_features(args) -> int:
     utterances, manifest = _load_corpus(args.in_dir)
     features = pipeline.extract_features(utterances, config.dsp, config.mfcc)
     out = _ensure_dir(args.out)
-    _ensure_dir(out / "mfcc13")
-    _ensure_dir(out / "eeg155")
     rows = []
     for row in manifest:
-        utt_id = row["utterance_id"]
-        streams = features[utt_id]
-        mfcc_rel = f"mfcc13/{utt_id}.fseq"
-        eeg_rel = f"eeg155/{utt_id}.fseq"
-        fileio.write_fseq(out / mfcc_rel, streams["mfcc13"])
-        fileio.write_fseq(out / eeg_rel, streams["eeg155"])
-        rows.append(
-            {
-                "utterance_id": utt_id,
-                "speaker_label": row["speaker_label"],
-                "mfcc_path": mfcc_rel,
-                "eeg155_path": eeg_rel,
-                "eeg30_path": "",
-            }
-        )
+        entry = {"utterance_id": row["utterance_id"], "speaker_label": row["speaker_label"]}
+        for seq in features[row["utterance_id"]].values():
+            _write_stream(out, entry, seq)
+        rows.append(entry)
     fileio.write_features_index(out / fileio.FEATURES_INDEX, rows)
     print(f"extracted features for {len(rows)} utterances")
     return EXIT_OK
 
 
-def _load_feature_streams(features_dir: Path, rows, want_eeg30: bool):
-    """Feature streams, by lower-case modality name, and dense speaker ids,
-    both keyed by utterance id. A file whose modality is not its column's in
-    ``STREAM_COLUMNS`` is a format error."""
-    columns = [(c, m) for c, m in STREAM_COLUMNS.items() if want_eeg30 or m is not Modality.EEG30]
+def _write_stream(out: Path, row: dict[str, str], seq: FeatureSequence) -> None:
+    """Write ``seq`` to ``<modality>/<utterance id>.fseq`` under ``out`` and
+    name that file in the row's column for its modality."""
+    folder = seq.modality.name.lower()
+    _ensure_dir(out / folder)
+    rel = f"{folder}/{row['utterance_id']}.fseq"
+    fileio.write_fseq(out / rel, seq)
+    row[fileio.STREAM_COLUMNS[seq.modality]] = rel
+
+
+def _load_feature_streams(features_dir: Path, rows, modalities: tuple[Modality, ...]):
+    """The streams of ``modalities``, by lower-case modality name, and dense
+    speaker ids, both keyed by utterance id; no other stream's file is
+    opened. A file whose modality is not its column's in
+    ``fileio.STREAM_COLUMNS`` is a format error."""
     streams: dict[str, dict[str, FeatureSequence]] = {}
     for row in rows:
         utt_id = row["utterance_id"]
         entry = {}
-        for column, modality in columns:
-            if modality is Modality.EEG30 and not row[column]:
+        for modality in modalities:
+            column = fileio.STREAM_COLUMNS[modality]
+            if not row[column]:  # only the EEG30 column, which kpca fills, may be empty
                 raise ConfigError(
-                    f"feature index has no eeg30 entry for {utt_id}; run the kpca stage first"
+                    f"feature index has no {modality.name.lower()} entry for {utt_id}; "
+                    "run the kpca stage first"
                 )
             path = features_dir / row[column]
             seq = fileio.read_fseq(path, utt_id)
@@ -243,18 +237,17 @@ def cmd_kpca(args) -> int:
     config = _load_run_config(args)
     rows = fileio.read_features_index(args.features / fileio.FEATURES_INDEX)
     out = _ensure_dir(args.out or args.features)
-    streams, speakers = _load_feature_streams(args.features, rows, want_eeg30=False)
+    # Both streams the written index names are read, so a file kpca passes
+    # over is never first met by train.
+    kept = (Modality.MFCC13, Modality.EEG155)
+    streams, speakers = _load_feature_streams(args.features, rows, kept)
     partition = pipeline.split_utterances(speakers, config.seed)
     train_ids = [i for i, tag in partition.items() if tag == "train"]
     model = pipeline.reduce_eeg(streams, train_ids, config.kpca, config.seed)
-    _ensure_dir(out / "eeg30")
     for row in rows:
-        utt_id = row["utterance_id"]
-        rel = f"eeg30/{utt_id}.fseq"
-        fileio.write_fseq(out / rel, streams[utt_id]["eeg30"])
-        row["eeg30_path"] = rel
+        _write_stream(out, row, streams[row["utterance_id"]]["eeg30"])
         # Relative to ``out``, which need not be the features directory.
-        for column in ("mfcc_path", "eeg155_path"):
+        for column in (fileio.STREAM_COLUMNS[m] for m in kept):
             row[column] = os.path.relpath(args.features / row[column], out)
     fileio.write_features_index(out / fileio.FEATURES_INDEX, rows)
     fractions = kpca.cumulative_explained_variance(model)
@@ -268,7 +261,7 @@ def cmd_kpca(args) -> int:
 
 def _assemble_from_dir(features_dir: Path, config: RunConfig, modality: Modality):
     rows = fileio.read_features_index(features_dir / fileio.FEATURES_INDEX)
-    streams, speakers = _load_feature_streams(features_dir, rows, pipeline.reads_eeg30(modality))
+    streams, speakers = _load_feature_streams(features_dir, rows, modality.sources)
     return pipeline.assemble_dataset(streams, speakers, modality, config.seed)
 
 

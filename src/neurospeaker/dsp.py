@@ -105,12 +105,7 @@ def _pair_conjugates(roots: np.ndarray) -> list[tuple[complex, complex]]:
     return pairs
 
 
-def design_bandpass(
-    order: int = 4,
-    low_hz: float = 0.1,
-    high_hz: float = 70.0,
-    sample_rate_hz: float = 1000.0,
-) -> BiquadCascade:
+def design_bandpass(order: int, low_hz: float, high_hz: float, sample_rate_hz: float) -> BiquadCascade:
     """Butterworth band-pass of the given overall order as biquad sections.
 
     ``order`` counts poles of the final band-pass (must be even); the analog
@@ -166,11 +161,7 @@ def design_bandpass(
     return BiquadCascade((scaled,) + cascade.sections[1:])
 
 
-def design_notch(
-    center_hz: float = 60.0,
-    quality: float = 30.0,
-    sample_rate_hz: float = 1000.0,
-) -> BiquadCascade:
+def design_notch(center_hz: float, quality: float, sample_rate_hz: float) -> BiquadCascade:
     """Single-biquad notch with unit passband gain and a zero at ``center_hz``."""
     nyquist = sample_rate_hz / 2.0
     if not 0 < center_hz < nyquist:

@@ -42,16 +42,21 @@ class Modality(enum.IntEnum):
     FUSED43 = 3
 
     @property
+    def sources(self) -> tuple[Modality, ...]:
+        """The streams this one is built from, in fused column order: FUSED43
+        is MFCC13 then EEG30, frame by frame; any other stream is its own."""
+        return (Modality.MFCC13, Modality.EEG30) if self is Modality.FUSED43 else (self,)
+
+    @property
     def dim(self) -> int:
-        return _MODALITY_DIMS[self]
+        return sum(_STREAM_DIMS[m] for m in self.sources)
 
 
-_MODALITY_DIMS = {
+_STREAM_DIMS = {
     Modality.MFCC13: 13,
     Modality.EEG155: EEG_CHANNELS * EEG_FEATURES_PER_CHANNEL,
     Modality.EEG30: 30,
 }
-_MODALITY_DIMS[Modality.FUSED43] = _MODALITY_DIMS[Modality.MFCC13] + _MODALITY_DIMS[Modality.EEG30]
 
 
 @dataclass
@@ -303,11 +308,12 @@ def extract_mfcc(
 
 
 def fuse(mfcc: FeatureSequence, eeg_reduced: FeatureSequence) -> FeatureSequence:
-    """Frame-wise [MFCC13 | EEG30] concatenation, truncated to the shorter stream."""
-    if mfcc.modality is not Modality.MFCC13 or eeg_reduced.modality is not Modality.EEG30:
-        raise AlignmentError(
-            f"fuse needs (MFCC13, EEG30), got ({mfcc.modality.name}, {eeg_reduced.modality.name})"
-        )
+    """Frame-wise concatenation of ``Modality.FUSED43.sources`` (MFCC13, then
+    EEG30), truncated to the shorter stream."""
+    found = (mfcc.modality, eeg_reduced.modality)
+    if found != Modality.FUSED43.sources:
+        need, got = (", ".join(m.name for m in pair) for pair in (Modality.FUSED43.sources, found))
+        raise AlignmentError(f"fuse needs ({need}), got ({got})")
     if mfcc.utterance_id != eeg_reduced.utterance_id:
         raise AlignmentError(
             f"utterance mismatch: {mfcc.utterance_id!r} vs {eeg_reduced.utterance_id!r}"

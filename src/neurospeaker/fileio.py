@@ -162,10 +162,13 @@ def write_manifest(path: Path | str, rows: list[dict[str, str]]) -> None:
     _write_csv(path, MANIFEST_COLUMNS, ([row[c] for c in MANIFEST_COLUMNS] for row in rows))
 
 
-def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
+def read_index(
+    path: Path | str, columns: tuple[str, ...], may_be_empty: tuple[str, ...] = ()
+) -> list[dict[str, str]]:
     """Rows of a CSV index whose header is exactly ``columns``, the first
-    of which is ``utterance_id``; a row with a missing or an extra field, or
-    an utterance id an earlier row holds, is a format error."""
+    of which is ``utterance_id``; a row with a missing or an extra field, an
+    empty field outside ``may_be_empty``, or an utterance id an earlier row
+    holds, is a format error."""
     try:
         with open(path, newline="") as fh:
             text = fh.read()
@@ -180,6 +183,9 @@ def read_index(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str
             # DictReader fills missing fields with None and keys extra ones by None.
             if None in row or None in row.values():
                 raise FormatError(f"{path}: line {reader.line_num} needs {len(columns)} fields")
+            empty = next((c for c in columns if not row[c] and c not in may_be_empty), None)
+            if empty is not None:
+                raise FormatError(f"{path}: line {reader.line_num} has an empty {empty}")
             utt_id = row["utterance_id"]
             if utt_id in seen:
                 raise FormatError(f"{path}: line {reader.line_num} repeats utterance id {utt_id!r}")
@@ -196,18 +202,23 @@ def read_manifest(path: Path | str) -> list[dict[str, str]]:
 
 
 FEATURES_INDEX = "features.csv"
-FEATURE_COLUMNS = ("utterance_id", "speaker_label", "mfcc_path", "eeg155_path", "eeg30_path")
+# The feature-index column that names each stream's files, one per utterance.
+STREAM_COLUMNS = {
+    Modality.MFCC13: "mfcc_path", Modality.EEG155: "eeg155_path", Modality.EEG30: "eeg30_path"
+}
+FEATURE_COLUMNS = ("utterance_id", "speaker_label", *STREAM_COLUMNS.values())
 
 
 def write_features_index(path: Path | str, rows: list[dict[str, str]]) -> None:
     """CSV of each utterance's feature files, keyed by ``FEATURE_COLUMNS``;
-    paths are relative to the index's directory and ``eeg30_path`` is empty
-    until the kpca stage has run."""
-    _write_csv(path, FEATURE_COLUMNS, ([row[c] for c in FEATURE_COLUMNS] for row in rows))
+    paths are relative to the index's directory. A column a row lacks is
+    written empty: the EEG30 one until the kpca stage has run."""
+    _write_csv(path, FEATURE_COLUMNS, ([row.get(c, "") for c in FEATURE_COLUMNS] for row in rows))
 
 
 def read_features_index(path: Path | str) -> list[dict[str, str]]:
-    return read_index(path, FEATURE_COLUMNS)
+    """Only the EEG30 column may be empty, until the kpca stage has run."""
+    return read_index(path, FEATURE_COLUMNS, may_be_empty=(STREAM_COLUMNS[Modality.EEG30],))
 
 
 def speaker_index(rows: list[dict[str, str]]) -> dict[str, int]:

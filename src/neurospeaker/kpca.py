@@ -193,7 +193,7 @@ def _dsyevd(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def fit_kpca(x: np.ndarray, kernel: KernelSpec, n_components: int = 30) -> KpcaModel:
+def fit_kpca(x: np.ndarray, kernel: KernelSpec, n_components: int) -> KpcaModel:
     """Fit on training frames; raises a reduced-rank error when the centered
     Gram matrix has fewer positive eigenvalues than requested components."""
     x = np.asarray(x, dtype=np.float64)

@@ -328,15 +328,10 @@ def project_eeg(
 
 
 def modality_sequence(streams: dict[str, FeatureSequence], modality: Modality) -> FeatureSequence:
-    if modality is Modality.FUSED43:
-        return fuse(streams["mfcc13"], streams["eeg30"])
-    return streams[modality.name.lower()]
-
-
-def reads_eeg30(modality: Modality) -> bool:
-    """Whether ``modality_sequence`` needs the EEG30 stream, which exists
-    only after the KPCA fit."""
-    return modality in (Modality.EEG30, Modality.FUSED43)
+    """The stream of ``modality``, fused from its ``sources`` when it has two.
+    ``streams`` holds the sources, by lower-case modality name."""
+    parts = [streams[m.name.lower()] for m in modality.sources]
+    return fuse(*parts) if len(parts) > 1 else parts[0]
 
 
 def split_utterances(speakers: dict[str, int], seed: int = 0) -> dict[str, str]:
@@ -510,10 +505,10 @@ def run_experiment(
     of the serial loop. The fit item is item 0, on the calling thread: it
     runs the fit beside the cleaning and featurizing of the val/test
     utterances (a nested two-item map), then projects every stream. A job
-    that reads EEG30 waits for that item, any other job for the val/test
-    streams; a job whose streams were not made fails behind the error that
-    stopped them. At width 1 the order is: training frontend, fit, val/test
-    frontend, projection, modalities.
+    whose sources hold EEG30 waits for that item, any other job for the
+    val/test streams; a job whose streams were not made fails behind the
+    error that stopped them. At width 1 the order is: training frontend,
+    fit, val/test frontend, projection, modalities.
     """
     utterances = generate_synthetic(spec)
     speakers = {u.utterance_id: u.speaker for u in utterances}
@@ -554,7 +549,7 @@ def run_experiment(
             fitted.set()
 
     def job(modality: Modality) -> tuple[TrainResult, EvalReport]:
-        (fitted if reads_eeg30(modality) else streamed).wait()
+        (fitted if Modality.EEG30 in modality.sources else streamed).wait()
         if len(features) < len(speakers):
             raise InputError("the val/test utterances have no features")
         dataset = assemble_dataset(features, speakers, modality, config.seed)

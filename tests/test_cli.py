@@ -111,6 +111,36 @@ class TestStages:
         assert main(["eval", "--checkpoint", str(run / "checkpoint.nspk"),
                      "--features", str(red), "--seed", "21"]) == 0
 
+    @pytest.mark.parametrize("modality", [Modality.MFCC13, Modality.EEG30], ids=lambda m: m.name)
+    def test_train_and_eval_read_only_the_modality_sources(self, staged, tmp_path, modality):
+        """With every other stream's directory gone, train and eval write the
+        bytes they write on the intact features."""
+        _, _, _, feats = staged
+        trimmed = tmp_path / "trimmed"
+        shutil.copytree(feats, trimmed)
+        for other in fileio.STREAM_COLUMNS.keys() - set(modality.sources):
+            shutil.rmtree(trimmed / other.name.lower())
+        outputs = []
+        for source in (feats, trimmed):
+            run, report = tmp_path / f"{source.name}-run", tmp_path / f"{source.name}-eval"
+            assert main(["train", "--features", str(source), "--out", str(run), "--modality",
+                         modality.name, "--seed", "21", "--set", "train.epochs=2"]) == 0
+            assert main(["eval", "--checkpoint", str(run / "checkpoint.nspk"), "--features",
+                         str(source), "--out", str(report), "--seed", "21"]) == 0
+            outputs.append((tree_digest(run), tree_digest(report)))
+        assert outputs[0] == outputs[1]
+
+    def test_kpca_on_a_truncated_mfcc13_file_exits_2(self, staged, tmp_path, capsys):
+        """kpca fits on EEG155 alone, but reads every MFCC13 file the index it
+        writes names, so train never meets one that kpca passed over."""
+        broken = tmp_path / "feats"
+        shutil.copytree(staged[3], broken)
+        victim = sorted((broken / "mfcc13").glob("*.fseq"))[0]
+        victim.write_bytes(victim.read_bytes()[:-4])
+        argv = ["kpca", "--features", str(broken), "--out", str(tmp_path / "red"), "--seed", "21"]
+        assert main([*argv, *TINY]) == 2
+        assert f"{victim}: truncated payload" in capsys.readouterr().err
+
     def test_train_checkpoint_holds_parameters_and_norm_only(self, staged, tmp_path):
         _, _, _, feats = staged
         run = tmp_path / "run"
@@ -344,6 +374,27 @@ class TestStages:
                 lines.append(",".join([utt, "spk3", paths]))
             manifest.write_text("\n".join(lines) + "\n")
         assert main(["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean"), *TINY]) == 2
+
+    @pytest.mark.parametrize("index, column", [("features.csv", "mfcc_path"), ("manifest.csv", "audio_path")])
+    def test_stage_on_an_empty_path_field_exits_2(self, staged, tmp_path, capsys, index, column):
+        """Named as an empty field of the index, not as the index's own
+        directory that the empty path opens."""
+        _, corpus, _, feats = staged
+        broken = tmp_path / "in"
+        if index == "features.csv":
+            shutil.copytree(feats, broken)
+            read, write = fileio.read_features_index, fileio.write_features_index
+            argv = ["train", "--features", str(broken), "--out", str(tmp_path / "run"),
+                    "--modality", "MFCC13", "--set", "train.epochs=1"]
+        else:
+            shutil.copytree(corpus, broken)
+            read, write = fileio.read_manifest, fileio.write_manifest
+            argv = ["preprocess", "--in", str(broken), "--out", str(tmp_path / "clean")]
+        rows = read(broken / index)
+        rows[1][column] = ""
+        write(broken / index, rows)
+        assert main([*argv, "--seed", "21", *TINY]) == 2
+        assert f"{broken / index}: line 3 has an empty {column}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_preprocess_on_non_finite_eeg_sample_exits_2(self, staged, tmp_path, capsys, value):

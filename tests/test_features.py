@@ -305,6 +305,10 @@ class TestFusion:
 
     def test_dimension_arithmetic(self):
         assert Modality.MFCC13.dim + Modality.EEG30.dim == Modality.FUSED43.dim == 43
+        assert Modality.FUSED43.sources == (Modality.MFCC13, Modality.EEG30)
+        assert Modality.FUSED43.dim == sum(m.dim for m in Modality.FUSED43.sources)
+        for modality in (Modality.MFCC13, Modality.EEG155, Modality.EEG30):
+            assert modality.sources == (modality,)
 
     def test_id_mismatch_rejected(self):
         with pytest.raises(AlignmentError):
@@ -313,6 +317,8 @@ class TestFusion:
     def test_wrong_modalities_rejected(self):
         with pytest.raises(AlignmentError):
             fuse(self._seq(10, Modality.MFCC13), self._seq(10, Modality.MFCC13))
+        with pytest.raises(AlignmentError, match=r"needs \(MFCC13, EEG30\), got \(EEG30, MFCC13\)"):
+            fuse(self._seq(10, Modality.EEG30), self._seq(10, Modality.MFCC13))
 
     def test_column_order_is_mfcc_then_eeg(self):
         mfcc = self._seq(4, Modality.MFCC13)

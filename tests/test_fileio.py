@@ -267,6 +267,23 @@ def test_index_with_arbitrary_text_rows_rejected_or_valid(tmp_path_factory, kind
     _read_index_or_reject(path, columns)
 
 
+@pytest.mark.parametrize("kind, column", [
+    (kind, column) for kind, (columns, _) in INDEXES.items() for column in columns
+])
+def test_index_with_an_empty_field_rejected(tmp_path, kind, column):
+    """Only the features index's EEG30 column may be empty, until kpca fills it."""
+    columns, row = INDEXES[kind]
+    path = tmp_path / f"{kind}.csv"
+    second = ("u1", *row[1:])
+    write_index(path, columns, [row, tuple("" if c == column else v for c, v in zip(columns, second))])
+    read = fileio.read_manifest if kind == "manifest" else fileio.read_features_index
+    if column == fileio.STREAM_COLUMNS[Modality.EEG30]:
+        assert read(path)[1][column] == ""
+    else:
+        with pytest.raises(FormatError, match=f"{kind}.csv: line 3 has an empty {column}$"):
+            read(path)
+
+
 @pytest.mark.parametrize("kind", INDEXES)
 def test_index_field_beyond_the_csv_field_limit_rejected(tmp_path, kind):
     columns, row = INDEXES[kind]
