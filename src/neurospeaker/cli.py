@@ -161,6 +161,7 @@ def _load_corpus(in_dir: Path):
 def cmd_preprocess(args) -> int:
     config = _load_run_config(args)
     utterances, manifest = _load_corpus(args.in_dir)
+    pipeline._check_audio(utterances, config.mfcc.frame_length)  # features reads it
     cleaned, report_rows = pipeline.preprocess_eeg(
         utterances, config.dsp, config.ica, config.seed
     )

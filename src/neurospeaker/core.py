@@ -7,8 +7,9 @@ sets numpy's OpenBLAS to one thread, whatever the environment says, and
 ``_ordered_map`` spreads independent items (utterances, row bands of the
 KPCA Gram matrix, the experiment's fit, val/test frontend and trainings)
 over the usable CPUs; results come back in item order: a serial loop's bytes.
-The program runs two compiled scipy routines, and ``_scipy_extension`` loads
-the module holding each from its own file, without the package above it.
+The program runs three compiled scipy routines (the corpus resonators', the
+EEG filters' and the KPCA eigensolve's), and ``_scipy_extension`` loads the
+module holding each from its own file, without the package above it.
 """
 from __future__ import annotations
 

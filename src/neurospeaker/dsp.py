@@ -3,12 +3,10 @@
 Designs are built from first principles: analog Butterworth prototype,
 low-pass-to-band-pass transform, bilinear mapping with frequency pre-warping,
 and pairing into stable second-order sections. Application is causal
-(single-pass, transposed direct form II) and row-wise: a block of rows (the
-channels of one or of several equal-length recordings) is filtered
-time-major, one contiguous time step of every row at a time, and each row's
-output is the same as if it were filtered alone. The pipeline filters each
-block once, through one cascade of the band-pass sections followed by the
-notch section; the sections run one after another over the whole block.
+(single-pass, transposed direct form II) and row-wise, and runs the compiled
+loop behind ``scipy.signal.sosfilt``; each row's output is the same as if it
+were filtered alone. The pipeline filters each recording once, through one
+cascade of the band-pass sections followed by the notch section.
 """
 from __future__ import annotations
 
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignalRecord
+from .core import SignalRecord, _scipy_extension
 from .errors import FilterDesignError, InputError
 
 
@@ -185,36 +183,20 @@ def apply_filter(cascade: BiquadCascade, signal: SignalRecord) -> SignalRecord:
     """Causal filtering of each channel independently, zero initial state;
     output length equals input length.
 
-    The recursion runs over a time-major (time x channels) copy, filtered in
-    place: each step reads and writes one contiguous row of it, and the state
-    buffers are reused. Every sample takes the same operations in the same
-    order as the textbook form, so a channel's output does not depend on which
-    other channels share the record.
+    The sections run in the compiled loop behind ``scipy.signal.sosfilt``
+    (``scipy.signal._sosfilt``, loaded by ``core._scipy_extension``), in
+    place on a C-contiguous float64 copy of the samples. Each sample takes
+    y = b0*x + s1, s1' = (b1*x - a1*y) + s2 and s2' = b2*x - a2*y, in that
+    order, so a channel's output does not depend on which other channels
+    share the record.
     """
     if signal.n_samples == 0:
         raise InputError("cannot filter an empty signal")
-    y = signal.samples.T.copy()  # (time, channels), C-contiguous
-    n_rows = y.shape[1]
-    s1, s2 = np.empty(n_rows), np.empty(n_rows)
-    p, q, r = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
-    for s in cascade.sections:
-        b0, b1, b2, a1, a2 = s.b0, s.b1, s.b2, s.a1, s.a2
-        s1.fill(0.0)
-        s2.fill(0.0)
-        for yn in y:  # yn holds x[t] on entry and y[t] on exit
-            # s1' = (b1*x - a1*y) + s2 and s2' = b2*x - a2*y, with y = b0*x + s1
-            np.multiply(yn, b1, out=p)
-            np.multiply(yn, b2, out=q)
-            yn *= b0
-            yn += s1
-            np.multiply(yn, a1, out=r)
-            p -= r
-            p += s2
-            np.multiply(yn, a2, out=r)
-            q -= r
-            s1, p = p, s1
-            s2, q = q, s2
-    return SignalRecord(signal.sample_rate_hz, np.ascontiguousarray(y.T))
+    sos = np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in cascade.sections])
+    y = np.array(signal.samples, dtype=np.float64, order="C")
+    state = np.zeros((signal.channels, len(sos), 2))
+    _scipy_extension("scipy.signal._sosfilt")._sosfilt(sos, y, state)
+    return SignalRecord(signal.sample_rate_hz, y)
 
 
 def frame_signal(signal: SignalRecord, spec: FrameSpec) -> np.ndarray:

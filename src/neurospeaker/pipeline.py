@@ -2,12 +2,10 @@
 evaluation, and the three-modality comparison experiment.
 
 Runs are deterministic: every stochastic step draws from a generator derived
-from the root seed and a stage label. EEG filtering runs on blocks of
-equal-length recordings stacked row-wise, and each block is filtered once
-through the band-pass + notch cascade (each row is filtered on its own, so a
-block gives the same bits as one recording at a time). ICA, rejection,
-features and the KPCA projection run per utterance, spread over the usable
-CPUs (``core._ordered_map``); each draws from its own generator and results
+from the root seed and a stage label. Each EEG recording is filtered once
+through the band-pass + notch cascade. Filtering, ICA, rejection, features
+and the KPCA projection run per utterance, spread over the usable CPUs
+(``core._ordered_map``); each draws from its own generator and results
 are gathered in corpus order, so the bytes are those of one utterance after
 another. One seeded split (``split_labels`` on the speakers of the
 sorted utterance ids) serves the KPCA fit and every modality; it needs no
@@ -36,6 +34,7 @@ from .core import (
 )
 from .errors import DimensionError, InputError
 from .features import (
+    AUDIO_RATE_HZ,
     EEG_CHANNELS,
     EEG_RATE_HZ,
     FeatureSequence,
@@ -49,11 +48,6 @@ from .features import (
     normalize_features,
 )
 from .synth import SynthSpec, Utterance, generate_synthetic
-
-# Rows (channels of all recordings) filtered together in one block: 33
-# 31-channel recordings, about 16 MB of float64 at 2000 samples each.
-FILTER_BLOCK_ROWS = 1024
-
 
 @dataclass
 class DspConfig:
@@ -168,13 +162,9 @@ def preprocess_eeg(
     ica_config: IcaConfig = IcaConfig(),
     seed: int = 0,
 ) -> tuple[list[Utterance], list[tuple]]:
-    """Band-pass and notch filtering, then ICA artifact removal per utterance.
-
-    Equal-length recordings are filtered together, in blocks of at most
-    ``FILTER_BLOCK_ROWS`` rows (see ``_filter_blocks``), each block once
-    through the band-pass sections followed by the notch section; each row
-    is filtered on its own, so the result is the same as one recording at a
-    time.
+    """Band-pass and notch filtering, then ICA artifact removal, of each
+    utterance (``_clean_utterance``), one item of ``_ordered_map`` each; the
+    cascade is designed once per call.
     Returns cleaned utterances plus artifact-report rows for the audit log,
     both in corpus order. Every recording must pass ``_check_eeg``.
     """
@@ -182,24 +172,8 @@ def preprocess_eeg(
         raise InputError("no utterances to preprocess")
     _check_eeg(utterances, config.frame_length)
     cascade = config.cascade()
-
-    cleaned: list[Utterance | None] = [None] * len(utterances)
-    report_rows: list[list[tuple]] = [[] for _ in utterances]
-    for block in _filter_blocks(utterances):
-        # The stacked input is dropped as soon as the filter has read it.
-        stacked = dsp.apply_filter(
-            cascade,
-            SignalRecord(EEG_RATE_HZ, np.concatenate([utterances[i].eeg.samples for i in block])),
-        ).samples
-        filtered = np.split(stacked, len(block))
-        results = _ordered_map(
-            lambda job: _clean_utterance(utterances[job[0]], job[1], ica_config, seed),
-            list(zip(block, filtered)),
-        )
-        del stacked, filtered  # before the next block is filtered
-        for i, (utt, utt_rows) in zip(block, results):
-            cleaned[i], report_rows[i] = utt, utt_rows
-    return cleaned, [r for rows in report_rows for r in rows]
+    results = _ordered_map(lambda utt: _clean_utterance(utt, cascade, ica_config, seed), utterances)
+    return [utt for utt, _ in results], [r for _, rows in results for r in rows]
 
 
 def _check_eeg(utterances: list[Utterance], frame_length: int) -> None:
@@ -218,13 +192,26 @@ def _check_eeg(utterances: list[Utterance], frame_length: int) -> None:
             )
 
 
+def _check_audio(utterances: list[Utterance], frame_length: int) -> None:
+    """Reject, naming the utterance, audio the MFCC front end cannot finish:
+    not at ``AUDIO_RATE_HZ``, or shorter than ``frame_length``."""
+    for utt in utterances:
+        audio, name = utt.audio, f"utterance {utt.utterance_id!r}"
+        if audio.sample_rate_hz != AUDIO_RATE_HZ:
+            raise InputError(f"{name} has {audio.sample_rate_hz:g} Hz audio, not {AUDIO_RATE_HZ} Hz")
+        if audio.n_samples < frame_length:
+            raise InputError(
+                f"{name} has {audio.n_samples} audio samples, fewer than one "
+                f"{frame_length}-sample MFCC window"
+            )
+
+
 def _clean_utterance(
-    utt: Utterance, filtered: np.ndarray, ica_config: IcaConfig, seed: int
+    utt: Utterance, cascade: dsp.BiquadCascade, ica_config: IcaConfig, seed: int
 ) -> tuple[Utterance, list[tuple]]:
-    """ICA artifact removal of one filtered (channels x samples) recording:
-    the cleaned utterance and its artifact-report rows."""
-    # A fresh array, as the filter gives a recording filtered alone.
-    record = SignalRecord(EEG_RATE_HZ, filtered.copy())
+    """Filtering and ICA artifact removal of one recording: the cleaned
+    utterance and its artifact-report rows."""
+    record = dsp.apply_filter(cascade, utt.eeg)
     rng = derive_rng(seed, f"ica.{utt.utterance_id}")
     model = ica.fit_ica(record, max_iter=ica_config.max_iter, tol=ica_config.tol, rng=rng)
     comps = ica.sources(model, record)
@@ -234,31 +221,15 @@ def _clean_utterance(
     return replace(utt, eeg=SignalRecord(EEG_RATE_HZ, clean)), rows
 
 
-def _filter_blocks(utterances: list[Utterance]) -> list[list[int]]:
-    """Indices of the utterances to filter together: equal-length recordings in
-    corpus order, at most ``FILTER_BLOCK_ROWS`` rows per block (a recording
-    with more rows is a block of its own). Blocks are ordered by their first
-    index."""
-    blocks: list[list[int]] = []
-    open_blocks: dict[int, tuple[list[int], int]] = {}  # length -> (block, rows)
-    for i, utt in enumerate(utterances):
-        block, rows = open_blocks.get(utt.eeg.n_samples, (None, 0))
-        if block is None or rows + utt.eeg.channels > FILTER_BLOCK_ROWS:
-            block, rows = [], 0
-            blocks.append(block)
-        block.append(i)
-        open_blocks[utt.eeg.n_samples] = (block, rows + utt.eeg.channels)
-    return blocks
-
-
 def extract_features(
     utterances: list[Utterance],
     dsp_config: DspConfig = DspConfig(),
     mfcc_config: MfccConfig = MfccConfig(),
 ) -> dict[str, dict[str, FeatureSequence]]:
     """Per-utterance MFCC13 and EEG155 sequences keyed by utterance id. Every
-    recording must pass ``_check_eeg``."""
+    recording must pass ``_check_eeg`` and ``_check_audio``."""
     _check_eeg(utterances, dsp_config.frame_length)
+    _check_audio(utterances, mfcc_config.frame_length)
     streams = _ordered_map(
         lambda utt: {
             "mfcc13": extract_mfcc(utt.audio, mfcc_config, utterance_id=utt.utterance_id),

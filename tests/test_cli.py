@@ -230,14 +230,17 @@ class TestStages:
         assert code == 3
         assert "'utt0005' has 500 Hz EEG" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage, victims, message", [
-        (lambda x: SignalRecord(500, x[:, ::2]), slice(None), "has 500 Hz EEG, not 1000 Hz"),
-        (lambda x: SignalRecord(1000, x[:30]), slice(5, 6), "has 30 EEG channels, not 31"),
-        (lambda x: SignalRecord(1000, x[:, :50]), slice(5, 6),
+    @pytest.mark.parametrize("kind, damage, victims, message", [
+        ("eeg", lambda x: SignalRecord(500, x[:, ::2]), slice(None), "has 500 Hz EEG, not 1000 Hz"),
+        ("eeg", lambda x: SignalRecord(1000, x[:30]), slice(5, 6), "has 30 EEG channels, not 31"),
+        ("eeg", lambda x: SignalRecord(1000, x[:, :50]), slice(5, 6),
          "has 50 EEG samples, fewer than one 100-sample window"),
-    ], ids=["500Hz", "30ch", "50samples"])
+        ("audio", lambda x: SignalRecord(8000, x[:, ::2]), slice(5, 6), "has 8000 Hz audio, not 16000 Hz"),
+        ("audio", lambda x: SignalRecord(16000, x[:, :300]), slice(5, 6),
+         "has 300 audio samples, fewer than one 400-sample MFCC window"),
+    ], ids=["500Hz", "30ch", "50samples", "8kHz-audio", "short-audio"])
     def test_stage_on_eeg_it_cannot_finish_exits_3(
-        self, staged, tmp_path, capsys, damage, victims, message
+        self, staged, tmp_path, capsys, kind, damage, victims, message
     ):
         """Rejected by the stage that reads the recording, naming it, rather
         than passing ``preprocess`` and failing a later stage, or giving
@@ -245,9 +248,13 @@ class TestStages:
         _, corpus, _, _ = staged
         broken = tmp_path / "corpus"
         shutil.copytree(corpus, broken)
-        paths = sorted((broken / "eeg").glob("*.eeg"))[victims]
+        read, write, suffix = {
+            "eeg": (fileio.read_eeg, fileio.write_eeg, "eeg"),
+            "audio": (fileio.read_wav, fileio.write_wav, "wav"),
+        }[kind]
+        paths = sorted((broken / kind).glob(f"*.{suffix}"))[victims]
         for path in paths:
-            fileio.write_eeg(path, damage(fileio.read_eeg(path).samples))
+            write(path, damage(read(path).samples))
         for stage in ("preprocess", "features"):
             out = tmp_path / stage
             assert main([stage, "--in", str(broken), "--out", str(out), "--seed", "21", *TINY]) == 3
@@ -627,25 +634,29 @@ base = set(sys.modules)  # scipy's own package, which the program's loader impor
 if sys.argv[1] == "packages-first":
     import scipy.linalg, scipy.signal
 import numpy as np
-from neurospeaker import core, kpca, synth
+from neurospeaker import core, kpca, pipeline, synth
 
 corpus = synth.generate_synthetic(synth.SynthSpec(n_speakers=2, utterances_per_speaker=1, duration_s=0.5, seed=27))
+cleaned, _ = pipeline.preprocess_eeg(corpus, seed=27)
 model = kpca.fit_kpca(core.make_rng(27).standard_normal((200, 155)), kpca.KernelSpec(), 30)
 digest = hashlib.sha256()
-for utt in corpus:
+for utt, clean in zip(corpus, cleaned):
     digest.update(utt.audio.samples.tobytes())
     digest.update(utt.eeg.samples.tobytes())
+    digest.update(clean.eeg.samples.tobytes())
 digest.update(model.eigenvalues.tobytes())
 out = {"added": sorted(m for m in set(sys.modules) - base if m.split(".")[0] == "scipy"), "digest": digest.hexdigest()}
 if sys.argv[1] == "packages-first":
     out["same_modules"] = [
         core._scipy_extension("scipy.signal._sigtools") is scipy.signal._sigtools,
+        core._scipy_extension("scipy.signal._sosfilt") is scipy.signal._sosfilt,
         core._scipy_extension("scipy.linalg.cython_lapack") is scipy.linalg.cython_lapack,
     ]
 else:  # the packages, imported after the modules were loaded, run on them
     import scipy.linalg, scipy.signal
     out["packages_after"] = [
         scipy.signal.lfilter([1.0], [1.0, -0.5], [1.0, 0.0, 0.0]).tolist(),
+        scipy.signal.sosfilt([[1.0, 0.0, 0.0, 1.0, -0.5, 0.0]], [1.0, 0.0, 0.0]).tolist(),
         scipy.linalg.eigh(np.diag([3.0, 1.0, 2.0]), eigvals_only=True).tolist(),
     ]
 print(json.dumps(out))
@@ -653,9 +664,9 @@ print(json.dumps(out))
 
 
 class TestImportGraph:
-    """Corpus generation and the KPCA fit each run one compiled scipy routine
-    and load only the module that holds it; every command starts without
-    scipy."""
+    """Corpus generation, EEG filtering and the KPCA fit each run one
+    compiled scipy routine and load only the module that holds it: three
+    modules in all. Every command starts without scipy."""
 
     def _run(self, args):
         src = str(Path(neurospeaker.__file__).resolve().parents[1])
@@ -675,20 +686,22 @@ class TestImportGraph:
         )
         assert self._run([probe]) == "[]"
 
-    def test_synthesis_and_kpca_fit_load_two_compiled_modules_only(self):
+    def test_synthesis_filtering_and_kpca_fit_load_three_compiled_modules_only(self):
         """Neither scipy.signal nor scipy.linalg is imported: beyond scipy's
-        own package, only the filter's and LAPACK's compiled modules."""
+        own package, only the two filters' and LAPACK's compiled modules."""
         done = json.loads(self._run([SCIPY_WORK_PROBE, "modules-only"]))
-        assert done["added"] == ["scipy.linalg.cython_lapack", "scipy.signal._sigtools"]
+        assert done["added"] == [
+            "scipy.linalg.cython_lapack", "scipy.signal._sigtools", "scipy.signal._sosfilt",
+        ]
         # and the packages, imported afterwards, run on the loaded modules
-        assert done["packages_after"] == [[1.0, 0.5, 0.25], [1.0, 2.0, 3.0]]
+        assert done["packages_after"] == [[1.0, 0.5, 0.25], [1.0, 0.5, 0.25], [1.0, 2.0, 3.0]]
 
     def test_packages_imported_first_give_the_same_bits(self):
         """After ``import scipy.signal, scipy.linalg`` the loader returns
-        the packages' own modules, and the corpus and eigenvalues keep
-        their bits."""
+        the packages' own modules, and the corpus, the cleaned EEG and the
+        eigenvalues keep their bits."""
         alone = json.loads(self._run([SCIPY_WORK_PROBE, "modules-only"]))
         first = json.loads(self._run([SCIPY_WORK_PROBE, "packages-first"]))
         assert {"scipy.signal", "scipy.linalg"} <= set(first["added"])
-        assert first["same_modules"] == [True, True]
+        assert first["same_modules"] == [True, True, True]
         assert first["digest"] == alone["digest"]

@@ -179,6 +179,28 @@ class TestScipyOracle:
         np.testing.assert_allclose(cascade.response(freqs, FS), expected, rtol=0, atol=1e-11)
 
 
+def textbook_filter(cascade, block):
+    """Transposed direct form II, one time step of every row at a time:
+    y = b0*x + s1, s1' = (b1*x - a1*y) + s2, s2' = b2*x - a2*y."""
+    y = np.array(block, dtype=np.float64)
+    for s in cascade.sections:
+        s1 = s2 = np.zeros(y.shape[0])
+        for t in range(y.shape[1]):
+            x = y[:, t].copy()
+            y[:, t] = s.b0 * x + s1
+            s1, s2 = (s.b1 * x - s.a1 * y[:, t]) + s2, s.b2 * x - s.a2 * y[:, t]
+    return y
+
+
+@pytest.mark.parametrize("design", SCIPY_CASES.values(), ids=SCIPY_CASES.keys())
+def test_apply_filter_matches_the_textbook_recursion(design):
+    """Bit for bit, apart from scipy: a scipy whose compiled loop changed its
+    order of operations would pass the oracle above and fail here."""
+    cascade = design()
+    block = make_rng(45).standard_normal((5, 2000)) * np.array([[1.0], [1e-3], [40.0], [1e150], [1e-150]])
+    np.testing.assert_array_equal(filter_block(cascade, block), textbook_filter(cascade, block))
+
+
 @pytest.mark.parametrize("design", SCIPY_CASES.values(), ids=SCIPY_CASES.keys())
 def test_stacked_block_equals_per_record_filtering(design):
     """Rows do not interact: filtering records stacked in one block gives
@@ -203,6 +225,24 @@ def test_one_pass_through_joined_cascades_equals_one_pass_each():
         filter_block(joined, block),
         filter_block(notch, filter_block(bandpass, block)),
     )
+
+
+@pytest.mark.parametrize("layout", [
+    lambda x: np.asfortranarray(x),
+    lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+    lambda x: np.repeat(x, 3, axis=0)[::3],
+], ids=["fortran", "strided-samples", "strided-rows"])
+def test_any_input_layout_gives_the_bits_of_its_c_contiguous_copy(layout):
+    """The compiled loop takes only C-contiguous float64: a Fortran-ordered
+    or strided input is filtered as its C-contiguous copy, and left alone."""
+    cascade = SCIPY_CASES["bandpass_4_0.1_70"]()
+    samples = layout(make_rng(44).standard_normal((31, 600)))
+    assert not samples.flags.c_contiguous
+    before = samples.copy(order="K")
+    out = filter_block(cascade, samples)
+    np.testing.assert_array_equal(out, filter_block(cascade, np.ascontiguousarray(samples)))
+    np.testing.assert_array_equal(samples, before)
+    assert out.flags.c_contiguous
 
 
 def test_apply_filter_block_leaves_its_input_alone():

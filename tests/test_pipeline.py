@@ -51,16 +51,17 @@ class TestPreprocess:
         assert len(rows) == len(utts) * 31
 
 
-class TestBlockFiltering:
-    def test_blocks_equal_single_utterance_runs(self, monkeypatch):
-        """A mixed-length corpus with more rows of one length than a block
-        holds: every cleaned record and report row equals its own
-        single-utterance run, in corpus order."""
+class TestRecordingFiltering:
+    def test_each_recording_filtered_alone_equals_single_utterance_runs(self, monkeypatch):
+        """A mixed-length corpus with more than 1,024 rows of one length (the
+        block size the filter once stacked recordings into): each recording
+        is filtered on its own, in one call, and every cleaned record and
+        report row equals its own single-utterance run, in corpus order."""
         long = generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=18, duration_s=0.3, seed=4))
         short = generate_synthetic(SynthSpec(n_speakers=2, utterances_per_speaker=2, duration_s=0.25, seed=5))
         short = [replace(u, utterance_id=f"short{u.utterance_id}") for u in short]
         corpus = long[:3] + short[:2] + long[3:] + short[2:]
-        assert sum(u.eeg.channels for u in long) > pipeline.FILTER_BLOCK_ROWS
+        assert sum(u.eeg.channels for u in long) > 1024
 
         rows_filtered = []
         apply_filter = dsp.apply_filter
@@ -71,10 +72,8 @@ class TestBlockFiltering:
 
         monkeypatch.setattr(dsp, "apply_filter", spy)
         cleaned, report_rows = pipeline.preprocess_eeg(corpus, seed=4)
-        # one band-pass + notch pass per block: two blocks of 0.3 s records, one of 0.25 s
-        assert len(rows_filtered) == 3
-        assert max(rows_filtered) <= pipeline.FILTER_BLOCK_ROWS
-        assert sum(rows_filtered) == sum(u.eeg.channels for u in corpus)
+        # one band-pass + notch pass per recording, of its 31 channels
+        assert rows_filtered == [31] * len(corpus)
 
         expected_rows = []
         for utt, clean in zip(corpus, cleaned, strict=True):
