@@ -27,7 +27,9 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .features import AUDIO_RATE_HZ, EEG_RATE_HZ, FeatureSequence, FeatureStats, Modality
+from .features import (
+    AUDIO_RATE_HZ, EEG_RATE_HZ, FeatureSequence, FeatureStats, Modality, check_recording,
+)
 from .synth import Utterance, generate_synthetic
 
 EXIT_OK = 0
@@ -161,7 +163,8 @@ def _load_corpus(in_dir: Path):
 def cmd_preprocess(args) -> int:
     config = _load_run_config(args)
     utterances, manifest = _load_corpus(args.in_dir)
-    pipeline._check_audio(utterances, config.mfcc.frame_length)  # features reads it
+    for utt in utterances:  # the audio that features reads
+        check_recording(utt.audio, "audio", config.mfcc.frame_length, utt.utterance_id)
     cleaned, report_rows = pipeline.preprocess_eeg(
         utterances, config.dsp, config.ica, config.seed
     )

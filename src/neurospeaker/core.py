@@ -7,9 +7,10 @@ sets numpy's OpenBLAS to one thread, whatever the environment says, and
 ``_ordered_map`` spreads independent items (utterances, row bands of the
 KPCA Gram matrix, the experiment's fit, val/test frontend and trainings)
 over the usable CPUs; results come back in item order: a serial loop's bytes.
-The program runs three compiled scipy routines (the corpus resonators', the
-EEG filters' and the KPCA eigensolve's), and ``_scipy_extension`` loads the
-module holding each from its own file, without the package above it.
+The program runs two compiled scipy routines (the IIR loop of the corpus
+resonators and the EEG filters, and the KPCA eigensolve), and
+``_scipy_extension`` loads the module holding each from its own file,
+without the package above it.
 """
 from __future__ import annotations
 
@@ -218,7 +219,7 @@ _EXTENSION_LOCK = threading.Lock()
 
 
 def _scipy_extension(name: str):
-    """The compiled scipy module ``name``, such as ``"scipy.signal._sigtools"``.
+    """The compiled scipy module ``name``, such as ``"scipy.signal._sosfilt"``.
 
     An imported module is returned as it is. Otherwise the module is loaded
     from its own file under scipy's install directory, and registered under

@@ -6,7 +6,8 @@ and pairing into stable second-order sections. Application is causal
 (single-pass, transposed direct form II) and row-wise, and runs the compiled
 loop behind ``scipy.signal.sosfilt``; each row's output is the same as if it
 were filtered alone. The pipeline filters each recording once, through one
-cascade of the band-pass sections followed by the notch section.
+cascade of the band-pass sections followed by the notch section; the same
+loop (``_filter_rows``) runs the synthetic corpus's resonators.
 """
 from __future__ import annotations
 
@@ -180,23 +181,26 @@ def design_notch(center_hz: float, quality: float, sample_rate_hz: float) -> Biq
 
 
 def apply_filter(cascade: BiquadCascade, signal: SignalRecord) -> SignalRecord:
-    """Causal filtering of each channel independently, zero initial state;
-    output length equals input length.
-
-    The sections run in the compiled loop behind ``scipy.signal.sosfilt``
-    (``scipy.signal._sosfilt``, loaded by ``core._scipy_extension``), in
-    place on a C-contiguous float64 copy of the samples. Each sample takes
-    y = b0*x + s1, s1' = (b1*x - a1*y) + s2 and s2' = b2*x - a2*y, in that
-    order, so a channel's output does not depend on which other channels
-    share the record.
-    """
+    """Causal filtering of each channel independently (``_filter_rows``),
+    zero initial state; output length equals input length."""
     if signal.n_samples == 0:
         raise InputError("cannot filter an empty signal")
-    sos = np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in cascade.sections])
-    y = np.array(signal.samples, dtype=np.float64, order="C")
-    state = np.zeros((signal.channels, len(sos), 2))
-    _scipy_extension("scipy.signal._sosfilt")._sosfilt(sos, y, state)
-    return SignalRecord(signal.sample_rate_hz, y)
+    return SignalRecord(signal.sample_rate_hz, _filter_rows(cascade.sections, signal.samples))
+
+
+def _filter_rows(sections: tuple[BiquadSection, ...], rows: np.ndarray) -> np.ndarray:
+    """``sections`` run over each row of (rows, n) ``rows`` from zero state.
+
+    The compiled loop behind ``scipy.signal.sosfilt`` (``scipy.signal._sosfilt``,
+    loaded by ``core._scipy_extension``) runs in place on a C-contiguous
+    float64 copy. Each sample takes y = b0*x + s1, s1' = (b1*x - a1*y) + s2
+    and s2' = b2*x - a2*y, in that order, so a row's output does not depend
+    on which other rows share the call.
+    """
+    sos = np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in sections])
+    y = np.array(rows, dtype=np.float64, order="C")
+    _scipy_extension("scipy.signal._sosfilt")._sosfilt(sos, y, np.zeros((len(y), len(sos), 2)))
+    return y
 
 
 def frame_signal(signal: SignalRecord, spec: FrameSpec) -> np.ndarray:

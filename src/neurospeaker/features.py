@@ -7,7 +7,8 @@ Each signal is read once for the zero crossings (one prefix sum of sign
 changes per channel) and once for the spectra (one FFT per distinct
 half-frame segment start, shared by the frames that overlap it). Audio: a
 standard 13-coefficient MFCC front end. Both streams run at a 100 Hz frame
-rate.
+rate, a hop of ``EEG_HOP`` samples of 1 kHz EEG or ``AUDIO_HOP`` of 16 kHz
+audio; ``check_recording`` is the one rule for a recording they can be cut from.
 """
 from __future__ import annotations
 
@@ -26,6 +27,10 @@ EEG_FEATURES_PER_CHANNEL = 5
 FEATURE_RATE_HZ = 100
 AUDIO_RATE_HZ = 16_000  # the one audio rate the MFCC front end reads
 EEG_RATE_HZ = 1_000  # the one EEG rate the filters are designed for
+EEG_HOP = EEG_RATE_HZ // FEATURE_RATE_HZ  # samples between frames: 10
+AUDIO_HOP = AUDIO_RATE_HZ // FEATURE_RATE_HZ  # 160
+# The recordings the chain reads: kind -> (rate, channels, window name).
+RECORDINGS = {"EEG": (EEG_RATE_HZ, EEG_CHANNELS, "window"), "audio": (AUDIO_RATE_HZ, 1, "MFCC window")}
 MFCC_LOG_FLOOR = 1e-10  # mel energies are floored here before the log
 MOVING_WINDOW = 10  # samples per sub-window of the moving-window average
 # Channels whose EEG155 statistics are computed together: at 2,000 samples a
@@ -107,15 +112,22 @@ def excess_kurtosis(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return var, live, np.where(live, kurtosis - 3.0, 0.0)
 
 
-def _feature_hop(sample_rate_hz: float) -> int:
-    """Samples between consecutive frames: the hop that gives ``FEATURE_RATE_HZ``."""
-    hop = sample_rate_hz / FEATURE_RATE_HZ
-    if hop < 1 or hop != int(hop):
+def check_recording(record: SignalRecord, kind: str, window: int, utterance_id: str) -> None:
+    """Reject, naming the utterance, a ``kind`` recording (``"EEG"`` or
+    ``"audio"``, bound in ``RECORDINGS``) its features cannot be cut from:
+    another channel count, then another rate, then fewer than ``window``
+    samples."""
+    rate_hz, channels, window_name = RECORDINGS[kind]
+    name = f"utterance {utterance_id!r}"
+    if record.channels != channels:
+        raise DimensionError(f"{name} has {record.channels} {kind} channels, not {channels}")
+    if record.sample_rate_hz != rate_hz:
+        raise InputError(f"{name} has {record.sample_rate_hz:g} Hz {kind}, not {rate_hz} Hz")
+    if record.n_samples < window:
         raise InputError(
-            f"{sample_rate_hz:g} Hz is not a whole multiple of the "
-            f"{FEATURE_RATE_HZ} Hz feature rate"
+            f"{name} has {record.n_samples} {kind} samples, fewer than one "
+            f"{window}-sample {window_name}"
         )
-    return int(hop)
 
 
 def _zero_crossings(x: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
@@ -157,7 +169,8 @@ def extract_eeg_features(
     utterance_id: str = "",
 ) -> FeatureSequence:
     """Per-frame concatenation of the five features over all 31 channels (155 dims),
-    from ``frame_length``-sample windows at the 100 Hz feature rate.
+    from ``frame_length``-sample windows every ``EEG_HOP`` samples of 1 kHz
+    EEG that passes ``check_recording``.
 
     Per channel and frame: [RMS, zero-crossing rate, moving-window average,
     excess kurtosis, normalized spectral entropy]. Zero-variance frames report
@@ -165,13 +178,8 @@ def extract_eeg_features(
     so channels are taken ``EEG_CHANNEL_BLOCK`` at a time and the working
     arrays stay a fraction of the recording's size.
     """
-    if clean_eeg.channels != EEG_CHANNELS:
-        raise DimensionError(
-            f"expected {EEG_CHANNELS} EEG channels, got {clean_eeg.channels}"
-        )
-    spec = FrameSpec(frame_length, _feature_hop(clean_eeg.sample_rate_hz))
-    if frame_length < 2:
-        raise InputError(f"frames need at least 2 samples, got {frame_length}")
+    check_recording(clean_eeg, "EEG", frame_length, utterance_id)
+    spec = FrameSpec(frame_length, EEG_HOP)
     n_frames = spec.n_frames(clean_eeg.n_samples)
     feats = np.empty((n_frames, EEG_CHANNELS, EEG_FEATURES_PER_CHANNEL))
     for lo in range(0, EEG_CHANNELS, EEG_CHANNEL_BLOCK):
@@ -225,12 +233,7 @@ class MfccConfig:
 
     def __post_init__(self):
         # What extract_mfcc would reject only after synthesis, rejected here.
-        hop = _feature_hop(AUDIO_RATE_HZ)
-        if self.frame_length < hop:
-            raise InputError(
-                f"MFCC window of {self.window_ms:g} ms ({self.frame_length} samples)"
-                f" is shorter than the {hop}-sample hop"
-            )
+        FrameSpec(self.frame_length, AUDIO_HOP)
         if self.fft_size < 1 or self.n_filters < 1:
             raise InputError(
                 f"need fft_size >= 1 and n_filters >= 1, got {self.fft_size} and {self.n_filters}"
@@ -285,17 +288,12 @@ def extract_mfcc(
     config: MfccConfig = MfccConfig(),
     utterance_id: str = "",
 ) -> FeatureSequence:
-    """13 mel-frequency cepstral coefficients per 10 ms frame of mono 16 kHz audio."""
-    if audio.sample_rate_hz != AUDIO_RATE_HZ:
-        raise InputError(
-            f"expected {AUDIO_RATE_HZ} Hz audio, got {audio.sample_rate_hz};"
-            " resample upstream"
-        )
-    if audio.channels != 1:
-        raise InputError(f"expected mono audio, got {audio.channels} channels")
+    """13 mel-frequency cepstral coefficients per 10 ms frame of mono 16 kHz
+    audio that passes ``check_recording``."""
+    check_recording(audio, "audio", config.frame_length, utterance_id)
     x = audio.samples[0]
     emphasized = np.concatenate([x[:1], x[1:] - config.preemphasis * x[:-1]])
-    spec = FrameSpec(config.frame_length, _feature_hop(audio.sample_rate_hz))
+    spec = FrameSpec(config.frame_length, AUDIO_HOP)
     record = SignalRecord(audio.sample_rate_hz, emphasized[np.newaxis, :])
     windows = frame_signal(record, spec)[0]  # (T, frame_length)
     hann = np.hanning(config.frame_length)

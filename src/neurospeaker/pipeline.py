@@ -34,13 +34,13 @@ from .core import (
 )
 from .errors import DimensionError, InputError
 from .features import (
-    AUDIO_RATE_HZ,
-    EEG_CHANNELS,
+    EEG_HOP,
     EEG_RATE_HZ,
     FeatureSequence,
     FeatureStats,
     MfccConfig,
     Modality,
+    check_recording,
     compute_feature_stats,
     extract_eeg_features,
     extract_mfcc,
@@ -62,6 +62,7 @@ class DspConfig:
 
     def __post_init__(self):
         self.cascade()
+        dsp.FrameSpec(self.frame_length, EEG_HOP)
 
     def cascade(self) -> dsp.BiquadCascade:
         """The band-pass sections followed by the notch section."""
@@ -166,44 +167,15 @@ def preprocess_eeg(
     utterance (``_clean_utterance``), one item of ``_ordered_map`` each; the
     cascade is designed once per call.
     Returns cleaned utterances plus artifact-report rows for the audit log,
-    both in corpus order. Every recording must pass ``_check_eeg``.
+    both in corpus order. Every recording must first pass ``check_recording``.
     """
     if not utterances:
         raise InputError("no utterances to preprocess")
-    _check_eeg(utterances, config.frame_length)
+    for utt in utterances:
+        check_recording(utt.eeg, "EEG", config.frame_length, utt.utterance_id)
     cascade = config.cascade()
     results = _ordered_map(lambda utt: _clean_utterance(utt, cascade, ica_config, seed), utterances)
     return [utt for utt, _ in results], [r for _, rows in results for r in rows]
-
-
-def _check_eeg(utterances: list[Utterance], frame_length: int) -> None:
-    """Reject, naming the utterance, a recording the chain cannot finish: not
-    ``EEG_CHANNELS`` channels at ``EEG_RATE_HZ``, or shorter than ``frame_length``."""
-    for utt in utterances:
-        eeg, name = utt.eeg, f"utterance {utt.utterance_id!r}"
-        if eeg.channels != EEG_CHANNELS:
-            raise DimensionError(f"{name} has {eeg.channels} EEG channels, not {EEG_CHANNELS}")
-        if eeg.sample_rate_hz != EEG_RATE_HZ:
-            raise InputError(f"{name} has {eeg.sample_rate_hz:g} Hz EEG, not {EEG_RATE_HZ} Hz")
-        if eeg.n_samples < frame_length:
-            raise InputError(
-                f"{name} has {eeg.n_samples} EEG samples, fewer than one "
-                f"{frame_length}-sample window"
-            )
-
-
-def _check_audio(utterances: list[Utterance], frame_length: int) -> None:
-    """Reject, naming the utterance, audio the MFCC front end cannot finish:
-    not at ``AUDIO_RATE_HZ``, or shorter than ``frame_length``."""
-    for utt in utterances:
-        audio, name = utt.audio, f"utterance {utt.utterance_id!r}"
-        if audio.sample_rate_hz != AUDIO_RATE_HZ:
-            raise InputError(f"{name} has {audio.sample_rate_hz:g} Hz audio, not {AUDIO_RATE_HZ} Hz")
-        if audio.n_samples < frame_length:
-            raise InputError(
-                f"{name} has {audio.n_samples} audio samples, fewer than one "
-                f"{frame_length}-sample MFCC window"
-            )
 
 
 def _clean_utterance(
@@ -227,9 +199,11 @@ def extract_features(
     mfcc_config: MfccConfig = MfccConfig(),
 ) -> dict[str, dict[str, FeatureSequence]]:
     """Per-utterance MFCC13 and EEG155 sequences keyed by utterance id. Every
-    recording must pass ``_check_eeg`` and ``_check_audio``."""
-    _check_eeg(utterances, dsp_config.frame_length)
-    _check_audio(utterances, mfcc_config.frame_length)
+    recording must first pass ``check_recording``: each EEG, then each audio."""
+    for utt in utterances:
+        check_recording(utt.eeg, "EEG", dsp_config.frame_length, utt.utterance_id)
+    for utt in utterances:
+        check_recording(utt.audio, "audio", mfcc_config.frame_length, utt.utterance_id)
     streams = _ordered_map(
         lambda utt: {
             "mfcc13": extract_mfcc(utt.audio, mfcc_config, utterance_id=utt.utterance_id),

@@ -6,14 +6,10 @@ distance from the shared base grows with ``separability``. At separability 0
 every speaker draws from the same distribution, so no classifier can beat
 chance by construction.
 
-The resonators run scipy's compiled direct-form II transposed filter,
-``scipy.signal._sigtools._linear_filter``, the routine ``scipy.signal.lfilter``
-itself calls for a denominator of more than one coefficient, on the same
-arguments. ``_resonate`` loads that one module on the first synthesis
-(``core._scipy_extension``), so neither importing the package nor
-synthesizing runs ``scipy.signal``'s package import. The routine is private
-to scipy: a release that moves it fails with an ``ImportError``, and
-``tests/test_synth.py`` holds it to ``lfilter`` bit for bit.
+Each resonator is one second-order section run by the EEG filters' compiled
+loop (``dsp._filter_rows``, in ``scipy.signal._sosfilt``), so synthesizing
+never runs ``scipy.signal``'s package import; ``tests/test_synth.py`` holds
+it to ``scipy.signal.lfilter`` bit for bit.
 """
 from __future__ import annotations
 
@@ -22,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignalRecord, _scipy_extension, derive_rng
+from .core import SignalRecord, derive_rng
+from .dsp import BiquadSection, _filter_rows
 from .errors import InputError
 from .features import AUDIO_RATE_HZ, EEG_CHANNELS, EEG_RATE_HZ
 
@@ -93,9 +90,8 @@ def _resonate(x: np.ndarray, center_hz: float, bandwidth_hz: float, fs: float) -
     """Two-pole resonator at ``center_hz`` over ``x``."""
     r = math.exp(-math.pi * bandwidth_hz / fs)
     theta = 2.0 * math.pi * center_hz / fs
-    b = np.array([1.0 - r])
-    a = np.array([1.0, -2.0 * r * math.cos(theta), r * r])
-    return _scipy_extension("scipy.signal._sigtools")._linear_filter(b, a, x, -1)
+    section = BiquadSection(1.0 - r, 0.0, 0.0, -2.0 * r * math.cos(theta), r * r)
+    return _filter_rows((section,), x[np.newaxis, :])[0]
 
 
 def _pink_noise(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -189,7 +189,8 @@ def test_non_utf8_config_file_rejected(tmp_path):
 
 @pytest.mark.parametrize("assignment", [
     "kpca.max_fit_frames=31", "ica.max_iter=1", "ica.tol=1e-300", "dsp.bandpass_order=2",
-    "nn.tcn_filters=1", "nn.tcn_width=1", "nn.gru_hidden=1", "train.beta1=0.0", "train.beta2=0.0",
+    "dsp.frame_length=10", "nn.tcn_filters=1", "nn.tcn_width=1", "nn.gru_hidden=1",
+    "train.beta1=0.0", "train.beta2=0.0",
 ])
 def test_smallest_runnable_values_load(assignment):
     name, raw = assignment.split("=")

@@ -166,18 +166,16 @@ class TestExtractEegFeatures:
         expected = np.tile([0.0, 0.0, 0.0, 0.0, 0.0], 31)
         np.testing.assert_array_equal(seq.frames, np.tile(expected, (91, 1)))
 
-    def test_hop_follows_the_sample_rate(self):
-        """100 Hz frames: hop 5 at 500 Hz; 250 Hz has no whole-sample hop."""
+    @pytest.mark.parametrize("rate_hz", [500.0, 250.0])
+    def test_other_eeg_rates_rejected(self, rate_hz):
+        """The filters and the 10-sample hop are those of 1 kHz EEG."""
         x = make_rng(2).standard_normal((31, 500))
-        seq = extract_eeg_features(SignalRecord(500.0, x), 50)
-        assert seq.frames.shape == (1 + (500 - 50) // 5, 155)
-        np.testing.assert_allclose(seq.frames[3, :5], eeg_frame_features(x[0, 15:65]), rtol=1e-6)
-        with pytest.raises(InputError, match="250"):
-            extract_eeg_features(SignalRecord(250.0, x), 50)
+        with pytest.raises(InputError, match=f"has {rate_hz:g} Hz EEG, not 1000 Hz"):
+            extract_eeg_features(SignalRecord(rate_hz, x), 50)
 
     @pytest.mark.parametrize(
         "rate_hz, n_samples, frame_length",
-        [(1000, 1000, 100), (1000, 2000, 37), (500, 500, 50), (200, 1003, 2), (1000, 1003, 11), (1000, 100, 100)],
+        [(1000, 1000, 100), (1000, 2000, 37), (1000, 500, 10), (1000, 1001, 33), (1000, 1003, 11), (1000, 100, 100)],
     )
     def test_every_frame_equals_the_oracle_bit_for_bit(self, rate_hz, n_samples, frame_length):
         """Zero crossings and segment spectra are read from the whole signal;
@@ -209,9 +207,10 @@ class TestExtractEegFeatures:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_frame_shorter_than_two_samples_rejected(self):
-        with pytest.raises(InputError, match="at least 2 samples"):
-            extract_eeg_features(SignalRecord(100.0, np.ones((31, 10))), 1)
+    @pytest.mark.parametrize("frame_length", [9, 1, 0])
+    def test_window_below_one_hop_rejected(self, frame_length):
+        with pytest.raises(InputError, match=rf"hop \(10\) <= frame \({frame_length}\)"):
+            extract_eeg_features(self._record(np.ones((31, 1000))), frame_length)
 
     def test_matches_per_frame_operation(self):
         x = make_rng(5).standard_normal((31, 300))
@@ -279,6 +278,23 @@ class TestMfcc:
     def test_window_of_one_hop_is_accepted(self):
         seq = extract_mfcc(self._audio(np.zeros(1600)), MfccConfig(window_ms=10.0))
         assert seq.n_frames == 10
+
+
+@pytest.mark.parametrize("extract, record, message", [
+    (extract_eeg_features, SignalRecord(1000.0, np.ones((30, 1000))), "has 30 EEG channels, not 31"),
+    (extract_eeg_features, SignalRecord(1000.0, np.ones((31, 50))),
+     "has 50 EEG samples, fewer than one 100-sample window"),
+    (extract_mfcc, SignalRecord(16000.0, np.ones((2, 16000))), "has 2 audio channels, not 1"),
+    (extract_mfcc, SignalRecord(8000.0, np.ones((1, 8000))), "has 8000 Hz audio, not 16000 Hz"),
+    (extract_mfcc, SignalRecord(16000.0, np.ones((1, 300))),
+     "has 300 audio samples, fewer than one 400-sample MFCC window"),
+], ids=["30ch", "50samples", "stereo", "8kHz", "short-audio"])
+def test_extraction_names_the_recording_it_cannot_finish(extract, record, message):
+    """The channel, rate and length rules of ``check_recording``, raised
+    from inside each extractor, name the utterance id it was given."""
+    with pytest.raises(InputError) as err:
+        extract(record, utterance_id="utt0042")
+    assert str(err.value) == f"utterance 'utt0042' {message}"
 
 
 class TestMelFilterbank:

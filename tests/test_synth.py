@@ -83,10 +83,11 @@ class TestDeterminism:
 
 
 class TestResonator:
-    """``_resonate`` calls the compiled routine behind ``scipy.signal.lfilter``,
-    which is private to scipy; ``lfilter`` itself is the oracle, at every
-    (centre, bandwidth, rate) the corpus uses: each formant at its base and
-    at the extremes of its separability offset, and each EEG source."""
+    """``_resonate`` runs one section in the compiled loop behind
+    ``scipy.signal.sosfilt``, which is private to scipy; ``lfilter``, a
+    different compiled path, is the oracle, at every (centre, bandwidth,
+    rate) the corpus uses: each formant at its base and at the extremes of
+    its separability offset, and each EEG source."""
 
     CASES = [
         *[
